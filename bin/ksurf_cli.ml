@@ -3,6 +3,7 @@
 
 open Cmdliner
 module E = Ksurf.Experiments
+module A = Ksurf.Analysis
 
 let setup_logs level =
   Fmt_tty.setup_std_outputs ();
@@ -149,53 +150,85 @@ let gen_corpus_cmd =
     (Cmd.info "gen-corpus" ~doc:"Generate a coverage-guided syscall corpus")
     Term.(const gen_corpus $ seed_arg $ scale_arg $ calls $ output $ logs_term)
 
-let kind_of_name = function
-  | "native" -> Some Ksurf.Env.Native
-  | "multikernel" -> Some Ksurf.Env.Multikernel
-  | "kvm" -> Some (Ksurf.Env.Kvm Ksurf.Virt_config.default)
-  | "firecracker" -> Some (Ksurf.Env.Kvm Ksurf.Lightweight.firecracker)
-  | "kata" -> Some (Ksurf.Env.Kvm Ksurf.Lightweight.kata)
-  | "nabla" -> Some (Ksurf.Env.Kvm Ksurf.Lightweight.nabla)
-  | "gvisor" -> Some (Ksurf.Env.Kvm Ksurf.Lightweight.gvisor)
-  | "docker" -> Some Ksurf.Env.Docker
-  | _ -> None
+
+(* A tiny corpus of [programs] coverage-guided programs: the gates'
+   workload size. *)
+let gate_corpus ~seed programs =
+  (Ksurf.Generator.run
+     ~params:
+       {
+         Ksurf.Generator.default_params with
+         Ksurf.Generator.seed;
+         target_programs = programs;
+       }
+     ())
+    .Ksurf.Generator.corpus
+
+(* --- environments ----------------------------------------------------- *)
+
+let environments =
+  [
+    ("native", Ksurf.Env.Native);
+    ("multikernel", Ksurf.Env.Multikernel);
+    ("kvm", Ksurf.Env.Kvm Ksurf.Virt_config.default);
+    ("firecracker", Ksurf.Env.Kvm Ksurf.Lightweight.firecracker);
+    ("kata", Ksurf.Env.Kvm Ksurf.Lightweight.kata);
+    ("nabla", Ksurf.Env.Kvm Ksurf.Lightweight.nabla);
+    ("gvisor", Ksurf.Env.Kvm Ksurf.Lightweight.gvisor);
+    ("docker", Ksurf.Env.Docker);
+  ]
+
+(* The one --env parser: an unknown name is a bad argument (exit 2),
+   reported with the list of valid names. *)
+let kind_of_name name =
+  match List.assoc_opt name environments with
+  | Some kind -> kind
+  | None ->
+      Format.eprintf "unknown environment %S (%s)@." name
+        (String.concat "|" (List.map fst environments));
+      exit 2
+
+let env_arg =
+  Arg.(
+    value & opt string "native"
+    & info [ "env" ] ~docv:"ENV"
+        ~doc:
+          "native | multikernel | kvm | firecracker | kata | nabla | gvisor \
+           | docker")
+
+let units_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "units" ] ~docv:"N"
+        ~doc:"Isolation units (a Table-1 row: 1,2,4,8,16,32,64).")
 
 (* Replay an arbitrary corpus on an arbitrary deployment. *)
 let run_corpus seed file env_name units iterations () =
+  let kind = kind_of_name env_name in
   match Ksurf.Corpus.load file with
   | Error e ->
       Format.eprintf "cannot load %s: %s@." file e;
       exit 1
-  | Ok corpus -> (
-      match kind_of_name env_name with
-      | None ->
-          Format.eprintf
-            "unknown environment %S \
-             (native|multikernel|kvm|firecracker|kata|nabla|gvisor|docker)@."
-            env_name;
-          exit 1
-      | Some kind ->
-          let engine = Ksurf.Engine.create ~seed () in
-          let env =
-            Ksurf.Env.deploy ~engine kind (Ksurf.Partition.table1 units)
-          in
-          let params =
-            { Ksurf.Harness.iterations; warmup_iterations = max 1 (iterations / 10) }
-          in
-          let result = Ksurf.Harness.run ~env ~corpus ~params () in
-          let stats = Ksurf.Study.site_stats result in
-          Format.printf
-            "corpus %s on %s x%d: %d sites, %d invocations, %s of virtual time@.@."
-            file env_name units (Array.length stats)
-            (Ksurf.Harness.total_invocations result)
-            (Ksurf.Report.duration_ns result.Ksurf.Harness.wall_time_ns);
-          Format.printf "stat   %s@." Ksurf.Buckets.header;
-          List.iter
-            (fun (name, stat) ->
-              Format.printf "%-6s %a@." name Ksurf.Buckets.pp
-                (Ksurf.Study.bucket_row stat stats))
-            [ ("median", Ksurf.Study.Median); ("p99", Ksurf.Study.P99);
-              ("max", Ksurf.Study.Max) ])
+  | Ok corpus ->
+      let engine = Ksurf.Engine.create ~seed () in
+      let env = Ksurf.Env.deploy ~engine kind (Ksurf.Partition.table1 units) in
+      let params =
+        { Ksurf.Harness.iterations; warmup_iterations = max 1 (iterations / 10) }
+      in
+      let result = Ksurf.Harness.run ~env ~corpus ~params () in
+      let stats = Ksurf.Study.site_stats result in
+      Format.printf
+        "corpus %s on %s x%d: %d sites, %d invocations, %s of virtual time@.@."
+        file env_name units (Array.length stats)
+        (Ksurf.Harness.total_invocations result)
+        (Ksurf.Report.duration_ns result.Ksurf.Harness.wall_time_ns);
+      Format.printf "stat   %s@." Ksurf.Buckets.header;
+      List.iter
+        (fun (name, stat) ->
+          Format.printf "%-6s %a@." name Ksurf.Buckets.pp
+            (Ksurf.Study.bucket_row stat stats))
+        [ ("median", Ksurf.Study.Median); ("p99", Ksurf.Study.P99);
+          ("max", Ksurf.Study.Max) ]
 
 let run_corpus_cmd =
   let file =
@@ -203,20 +236,6 @@ let run_corpus_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"CORPUS" ~doc:"Corpus file from gen-corpus.")
-  in
-  let env_name =
-    Arg.(
-      value & opt string "native"
-      & info [ "env" ] ~docv:"ENV"
-          ~doc:
-            "native | multikernel | kvm | firecracker | kata | nabla | gvisor \
-             | docker")
-  in
-  let units =
-    Arg.(
-      value & opt int 1
-      & info [ "units" ] ~docv:"N"
-          ~doc:"Isolation units (a Table-1 row: 1,2,4,8,16,32,64).")
   in
   let iterations =
     Arg.(
@@ -228,7 +247,7 @@ let run_corpus_cmd =
        ~doc:"Replay a corpus file on a chosen deployment and print its \
              latency breakdown")
     Term.(
-      const run_corpus $ seed_arg $ file $ env_name $ units $ iterations
+      const run_corpus $ seed_arg $ file $ env_arg $ units_arg 1 $ iterations
       $ logs_term)
 
 (* --- analyze ---------------------------------------------------------- *)
@@ -237,7 +256,6 @@ let run_corpus_cmd =
    and engine invariant checks over a stock scenario.  Exits 1 on any
    finding so it can gate CI. *)
 let analyze seed scenario checks csv () =
-  let module A = Ksurf.Analysis in
   match A.Scenarios.of_string scenario with
   | None ->
       Format.eprintf "unknown scenario %S (%s)@." scenario
@@ -255,9 +273,11 @@ let analyze seed scenario checks csv () =
       | Ok selected ->
           let outcome =
             timed "analyze" (fun () ->
-                A.Sanitizer.run ~scenario:sc ~seed ~checks:selected ())
+                A.Sanitizer.check ~checks:selected (A.Scenarios.run sc ~seed))
           in
-          Format.printf "%a@." A.Sanitizer.pp_outcome outcome;
+          Format.printf "%a@."
+            (A.Sanitizer.pp_outcome ~scenario:sc ~seed)
+            outcome;
           (match csv with
           | None -> ()
           | Some path ->
@@ -304,15 +324,46 @@ let analyze_cmd =
           stock scenario; exit nonzero on any finding")
     Term.(const analyze $ seed_arg $ scenario $ checks $ csv $ logs_term)
 
+(* --- sanitizer gates -------------------------------------------------- *)
+
+(* The shared tail of every gate: the replay line, the gate's own
+   accounting failures, the sanitizer findings, then exit 1 or the
+   gate's all-clear line. *)
+let gate_verdict ?(failures = []) ~clean o =
+  Option.iter
+    (fun d -> Format.printf "  %a@." A.Sanitizer.pp_replay d)
+    o.A.Sanitizer.replay;
+  List.iter (fun m -> Format.printf "  FAIL: %s@." m) failures;
+  List.iter
+    (fun f -> Format.printf "  %a@." A.Finding.pp f)
+    o.A.Sanitizer.findings;
+  if failures <> [] || o.A.Sanitizer.findings <> [] then exit 1;
+  Format.printf "  no findings: %s@." clean
+
+(* Every --smoke gate runs its workload through the one sanitizer
+   harness: two runs, lockdep + invariants on the first, determinism
+   across both.  A crash on either run leaves no result to account
+   for; it is a finding, so the verdict exits 1 at once. *)
+let sanitized name workload =
+  let o = timed name (fun () -> A.Sanitizer.check workload) in
+  match o.A.Sanitizer.result with
+  | Some r -> (o, r)
+  | None ->
+      gate_verdict o ~clean:"";
+      exit 1
+
+(* An accounting check: [Some message] when it fails. *)
+let bad fmt = Format.kasprintf Option.some fmt
+
+let gate_flag name doc = Arg.(value & flag & info [ name ] ~doc)
+
 (* --- inject ----------------------------------------------------------- *)
 
-(* Fault-injection driver: arm a kfault plan over a varbench deployment,
-   run it twice under the determinism checker (with lockdep + invariants
-   attached to the first run), and report the injection counters and the
-   replay hashes.  Exits 1 on any finding or hash divergence — the
+(* Fault-injection driver: arm a kfault plan over a varbench deployment
+   under the sanitizer harness and report the injection counters and
+   the replay hashes.  Exits 1 on any finding or hash divergence — the
    [--smoke] form is the `make check` gate. *)
 let inject seed plan_name env_name units intensity smoke () =
-  let module A = Ksurf.Analysis in
   let plan =
     match Ksurf.Fault_plan.preset plan_name with
     | Some p -> p
@@ -325,48 +376,21 @@ let inject seed plan_name env_name units intensity smoke () =
               (String.concat ", " (List.map fst Ksurf.Fault_plan.presets));
             exit 2)
   in
-  match kind_of_name env_name with
-  | None ->
-      Format.eprintf
-        "unknown environment %S \
-             (native|multikernel|kvm|firecracker|kata|nabla|gvisor|docker)@."
-        env_name;
-      exit 1
-  | Some kind ->
-      let plan =
-        if intensity = 1.0 then plan else Ksurf.Fault_plan.scale intensity plan
-      in
-      let corpus =
-        if smoke then
-          (Ksurf.Generator.run
-             ~params:
-               {
-                 Ksurf.Generator.default_params with
-                 Ksurf.Generator.seed;
-                 target_programs = 4;
-               }
-             ())
-            .Ksurf.Generator.corpus
-        else E.default_corpus ~seed E.Quick
-      in
-      let params =
-        if smoke then { Ksurf.Harness.iterations = 2; warmup_iterations = 1 }
-        else { Ksurf.Harness.iterations = 6; warmup_iterations = 1 }
-      in
-      let last = ref None in
-      let findings = ref [] in
-      let static_done = ref false in
-      let run_once ~probe =
-        let static = ref None in
+  let kind = kind_of_name env_name in
+  let plan =
+    if intensity = 1.0 then plan else Ksurf.Fault_plan.scale intensity plan
+  in
+  let corpus =
+    if smoke then gate_corpus ~seed 4 else E.default_corpus ~seed E.Quick
+  in
+  let params =
+    if smoke then { Ksurf.Harness.iterations = 2; warmup_iterations = 1 }
+    else { Ksurf.Harness.iterations = 6; warmup_iterations = 1 }
+  in
+  let o, (result, stats, injections) =
+    sanitized "inject" (fun ~on_engine ->
         let engine = Ksurf.Engine.create ~seed () in
-        Ksurf.Engine.add_probe engine probe;
-        if not !static_done then begin
-          let lockdep = A.Lockdep.create () in
-          let invariants = A.Invariants.create () in
-          Ksurf.Engine.add_probe engine (A.Lockdep.on_event lockdep);
-          Ksurf.Engine.add_probe engine (A.Invariants.on_event invariants);
-          static := Some (lockdep, invariants)
-        end;
+        on_engine engine;
         let env =
           Ksurf.Env.deploy ~engine kind (Ksurf.Partition.table1 units)
         in
@@ -375,48 +399,25 @@ let inject seed plan_name env_name units intensity smoke () =
           Ksurf.Harness.run ~env ~corpus ~params ~straggler_timeout_ns:5e9 ()
         in
         Ksurf.Kfault.disarm kf;
-        last := Some (result, Ksurf.Kfault.stats kf, Ksurf.Kfault.total_injections kf);
-        match !static with
-        | None -> ()
-        | Some (lockdep, invariants) ->
-            static_done := true;
-            let drained = Ksurf.Engine.pending engine = 0 in
-            findings :=
-              !findings
-              @ A.Lockdep.finish ~drained lockdep
-              @ A.Invariants.finish ~drained invariants
-      in
-      let det =
-        timed "inject" (fun () ->
-            A.Determinism.check ~run:(fun ~probe -> run_once ~probe) ())
-      in
-      findings := !findings @ A.Determinism.to_findings det;
-      let result, stats, injections =
-        match !last with Some x -> x | None -> assert false
-      in
-      Format.printf "inject plan=%s dose=%.2f env=%s units=%d seed=%d@."
-        plan.Ksurf.Fault_plan.name intensity env_name units seed;
-      Format.printf
-        "  %d sites, %d invocations, %s of virtual time, %d injections@."
-        (Array.length result.Ksurf.Harness.sites)
-        (Ksurf.Harness.total_invocations result)
-        (Ksurf.Report.duration_ns result.Ksurf.Harness.wall_time_ns)
-        injections;
-      Format.printf "  %a@." Ksurf.Kfault.pp_stats stats;
-      Format.printf "  harness: %d retries, %d abandoned, %s@."
-        result.Ksurf.Harness.transient_retries
-        result.Ksurf.Harness.abandoned_calls
-        (if result.Ksurf.Harness.degraded then
-           Printf.sprintf "DEGRADED (%d/%d ranks survived)"
-             result.Ksurf.Harness.survivors result.Ksurf.Harness.ranks
-         else "all ranks survived");
-      Format.printf "  replay: %d vs %d events, hash %08x vs %08x — %s@."
-        det.A.Determinism.events_first det.A.Determinism.events_second
-        det.A.Determinism.hash_first det.A.Determinism.hash_second
-        (if A.Determinism.deterministic det then "identical" else "DIVERGENT");
-      List.iter (fun f -> Format.printf "  %a@." A.Finding.pp f) !findings;
-      if !findings <> [] then exit 1;
-      Format.printf "  no findings: faulted run is deterministic and clean@."
+        (result, Ksurf.Kfault.stats kf, Ksurf.Kfault.total_injections kf))
+  in
+  Format.printf "inject plan=%s dose=%.2f env=%s units=%d seed=%d@."
+    plan.Ksurf.Fault_plan.name intensity env_name units seed;
+  Format.printf
+    "  %d sites, %d invocations, %s of virtual time, %d injections@."
+    (Array.length result.Ksurf.Harness.sites)
+    (Ksurf.Harness.total_invocations result)
+    (Ksurf.Report.duration_ns result.Ksurf.Harness.wall_time_ns)
+    injections;
+  Format.printf "  %a@." Ksurf.Kfault.pp_stats stats;
+  Format.printf "  harness: %d retries, %d abandoned, %s@."
+    result.Ksurf.Harness.transient_retries
+    result.Ksurf.Harness.abandoned_calls
+    (if result.Ksurf.Harness.degraded then
+       Printf.sprintf "DEGRADED (%d/%d ranks survived)"
+         result.Ksurf.Harness.survivors result.Ksurf.Harness.ranks
+     else "all ranks survived");
+  gate_verdict o ~clean:"faulted run is deterministic and clean"
 
 let inject_cmd =
   let plan =
@@ -427,20 +428,6 @@ let inject_cmd =
             "Fault plan: a preset name ($(b,syscalls), $(b,storms), \
              $(b,preempt), $(b,mixed), $(b,crashy)) or a plan file path.")
   in
-  let env_name =
-    Arg.(
-      value & opt string "native"
-      & info [ "env" ] ~docv:"ENV"
-          ~doc:
-            "native | multikernel | kvm | firecracker | kata | nabla | gvisor \
-             | docker")
-  in
-  let units =
-    Arg.(
-      value & opt int 2
-      & info [ "units" ] ~docv:"N"
-          ~doc:"Isolation units (a Table-1 row: 1,2,4,8,16,32,64).")
-  in
   let intensity =
     Arg.(
       value & opt float 1.0
@@ -448,10 +435,8 @@ let inject_cmd =
           ~doc:"Scale the plan's dose by $(docv) (see Fault_plan.scale).")
   in
   let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"Tiny corpus and iteration count: the CI gate configuration.")
+    gate_flag "smoke"
+      "Tiny corpus and iteration count: the CI gate configuration."
   in
   Cmd.v
     (Cmd.info "inject"
@@ -460,151 +445,8 @@ let inject_cmd =
           injections replay bit-identically and pass lockdep/invariants; \
           exit nonzero on any finding")
     Term.(
-      const inject $ seed_arg $ plan $ env_name $ units $ intensity $ smoke
+      const inject $ seed_arg $ plan $ env_arg $ units_arg 2 $ intensity $ smoke
       $ logs_term)
-
-(* --- specialize -------------------------------------------------------- *)
-
-(* kspec driver.  Default form runs the specialization study (stock
-   shared native vs per-tenant specialized kernels vs kvm-64 on the same
-   fs-restricted workload).  [--smoke] is the `make check` gate: run
-   the specialized deployment twice under the determinism checker with
-   lockdep + invariants attached to the first run; a policy denial (the
-   allowlist matches the corpus, so any denial is a wiring bug), a
-   replay divergence or any sanitizer finding exits nonzero. *)
-let specialize seed scale smoke export_dir journal_path resume jobs () =
-  let module A = Ksurf.Analysis in
-  if smoke then begin
-    let corpus =
-      let full =
-        (Ksurf.Generator.run
-           ~params:
-             {
-               Ksurf.Generator.default_params with
-               Ksurf.Generator.seed;
-               target_programs = 8;
-             }
-           ())
-          .Ksurf.Generator.corpus
-      in
-      match Ksurf.Profile.restrict full ~keep:E.Specialize.retained with
-      | Some c -> c
-      | None -> full
-    in
-    let spec =
-      Ksurf.Specializer.compile
-        (Ksurf.Profile.of_corpus ~name:"specialize-smoke" corpus)
-    in
-    let params = { Ksurf.Harness.iterations = 2; warmup_iterations = 1 } in
-    let last = ref None in
-    let findings = ref [] in
-    let static_done = ref false in
-    let run_once ~probe =
-      let static = ref None in
-      let engine = Ksurf.Engine.create ~seed () in
-      Ksurf.Engine.add_probe engine probe;
-      if not !static_done then begin
-        let lockdep = A.Lockdep.create () in
-        let invariants = A.Invariants.create () in
-        Ksurf.Engine.add_probe engine (A.Lockdep.on_event lockdep);
-        Ksurf.Engine.add_probe engine (A.Invariants.on_event invariants);
-        static := Some (lockdep, invariants)
-      end;
-      let env =
-        Ksurf.Env.deploy ~engine
-          ~kernel_config:(Ksurf.Specializer.kernel_config spec)
-          Ksurf.Env.Multikernel
-          (Ksurf.Partition.equal_split ~units:2 ~total_cores:8
-             ~total_mem_mb:8192)
-      in
-      Ksurf.Specializer.install_all env spec;
-      let result = Ksurf.Harness.run ~env ~corpus ~params () in
-      let denials = ref 0 in
-      for rank = 0 to Ksurf.Env.rank_count env - 1 do
-        denials := !denials + Ksurf.Specializer.denials env ~rank
-      done;
-      last := Some (result, !denials);
-      match !static with
-      | None -> ()
-      | Some (lockdep, invariants) ->
-          static_done := true;
-          let drained = Ksurf.Engine.pending engine = 0 in
-          findings :=
-            !findings
-            @ A.Lockdep.finish ~drained lockdep
-            @ A.Invariants.finish ~drained invariants
-    in
-    let det =
-      timed "specialize" (fun () ->
-          A.Determinism.check ~run:(fun ~probe -> run_once ~probe) ())
-    in
-    findings := !findings @ A.Determinism.to_findings det;
-    let result, denials =
-      match !last with Some x -> x | None -> assert false
-    in
-    Format.printf "specialize smoke seed=%d@." seed;
-    Format.printf "  %a@." Ksurf.Kspec.pp spec;
-    Format.printf "  %d sites, %d invocations, %s of virtual time@."
-      (Array.length result.Ksurf.Harness.sites)
-      (Ksurf.Harness.total_invocations result)
-      (Ksurf.Report.duration_ns result.Ksurf.Harness.wall_time_ns);
-    Format.printf "  replay: %d vs %d events, hash %08x vs %08x — %s@."
-      det.A.Determinism.events_first det.A.Determinism.events_second
-      det.A.Determinism.hash_first det.A.Determinism.hash_second
-      (if A.Determinism.deterministic det then "identical" else "DIVERGENT");
-    if denials > 0 then begin
-      Format.printf
-        "  FAIL: %d policy denials (%d dropped by the harness) — the \
-         allowlist must cover its own profile@."
-        denials result.Ksurf.Harness.denied_calls;
-      exit 1
-    end;
-    List.iter (fun f -> Format.printf "  %a@." A.Finding.pp f) !findings;
-    if !findings <> [] then exit 1;
-    Format.printf
-      "  no findings: specialized run is deterministic, clean, zero denials@."
-  end
-  else begin
-    let journal = journal_of journal_path resume in
-    let t =
-      with_pool jobs (fun pool ->
-          timed "specialize" (fun () ->
-              E.Specialize.run ~seed ~scale ?journal ~pool ()))
-    in
-    Format.printf "%a@." E.Specialize.pp t;
-    (match export_dir with
-    | None -> ()
-    | Some dir ->
-        List.iter
-          (fun p -> Format.printf "wrote %s@." p)
-          (Ksurf.Export.specialize ~dir t));
-    finish_journal journal
-  end
-
-let specialize_cmd =
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Gate mode: double-run a specialized deployment under the \
-             sanitizers; exit nonzero on denials, divergence or findings.")
-  in
-  let export_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "export" ] ~docv:"DIR"
-          ~doc:"Write specialize.csv into $(docv) (study mode only).")
-  in
-  Cmd.v
-    (Cmd.info "specialize"
-       ~doc:
-         "kspec study: per-tenant specialized kernels (multikernel) vs shared native vs kvm-64 \
-          on the same fs-restricted workload")
-    Term.(
-      const specialize $ seed_arg $ scale_arg $ smoke $ export_dir
-      $ journal_arg $ resume_arg $ jobs_arg $ logs_term)
 
 (* --- staticcheck ------------------------------------------------------ *)
 
@@ -714,677 +556,317 @@ let staticcheck_cmd =
       const staticcheck $ seed_arg $ scale_arg $ table $ locks $ interference
       $ spec_workload $ csv_dir $ logs_term)
 
-(* --- experiments ------------------------------------------------------ *)
 
-let experiment_cmd name ~doc run =
-  let go seed scale jobs () =
-    with_pool jobs (fun pool -> timed name (fun () -> run ~seed ~scale ~pool))
+(* --- gates -------------------------------------------------------------- *)
+
+(* kspec gate for `make check`: the specialized deployment under the
+   sanitizer harness.  A policy denial (the allowlist matches the
+   corpus, so any denial is a wiring bug), a replay divergence or any
+   sanitizer finding exits nonzero. *)
+let specialize_smoke seed =
+  let corpus =
+    let full = gate_corpus ~seed 8 in
+    match Ksurf.Profile.restrict full ~keep:E.Specialize.retained with
+    | Some c -> c
+    | None -> full
   in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(const go $ seed_arg $ scale_arg $ jobs_arg $ logs_term)
-
-let table1_cmd =
-  let go () () = Format.printf "%a@." E.Table1.pp (E.Table1.run ()) in
-  Cmd.v
-    (Cmd.info "table1" ~doc:"Print the VM configuration sweep (Table 1)")
-    Term.(const go $ const () $ logs_term)
-
-let table2_cmd =
-  experiment_cmd "table2" ~doc:"Syscall latency breakdown (Table 2)"
-    (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Table2.pp (E.Table2.run ~seed ~scale ~pool ()))
-
-let fig2_cmd =
-  experiment_cmd "fig2" ~doc:"Per-subsystem p99 vs VM count (Figure 2)"
-    (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Fig2.pp (E.Fig2.run ~seed ~scale ~pool ()))
-
-let table3_cmd =
-  experiment_cmd "table3" ~doc:"Container worst-case breakdown (Table 3)"
-    (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Table3.pp (E.Table3.run ~seed ~scale ~pool ()))
-
-let fig3_cmd =
-  experiment_cmd "fig3" ~doc:"Single-node tail latency (Figure 3)"
-    (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Fig3.pp (E.Fig3.run ~seed ~scale ~pool ()))
-
-let fig4_cmd =
-  experiment_cmd "fig4" ~doc:"64-node BSP runtimes (Figure 4)"
-    (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Fig4.pp (E.Fig4.run ~seed ~scale ~pool ()))
-
-let ablate_cmd =
-  experiment_cmd "ablate" ~doc:"E7: variability-mechanism knockouts"
-    (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Ablate.pp (E.Ablate.run ~seed ~scale ~pool ()))
-
-let ablate_virt_cmd =
-  experiment_cmd "ablate-virt" ~doc:"E8: exit-cost sensitivity sweep"
-    (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Ablate_virt.pp (E.Ablate_virt.run ~seed ~scale ~pool ()))
-
-let lwvm_cmd =
-  experiment_cmd "lwvm" ~doc:"E9: lightweight-VM technology comparison"
-    (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Lwvm.pp (E.Lwvm.run ~seed ~scale ~pool ()))
-
-let locks_cmd =
-  experiment_cmd "locks" ~doc:"E10: per-lock contention attribution"
-    (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Locks.pp (E.Locks.run ~seed ~scale ~pool ()))
-
-let dose_cmd =
-  let go seed scale journal_path resume jobs () =
-    let journal = journal_of journal_path resume in
-    with_pool jobs (fun pool ->
-        timed "dose" (fun () ->
-            Format.printf "%a@." E.Dose.pp
-              (E.Dose.run ~seed ~scale ?journal ~pool ())));
-    finish_journal journal
+  let spec =
+    Ksurf.Specializer.compile
+      (Ksurf.Profile.of_corpus ~name:"specialize-smoke" corpus)
   in
-  Cmd.v
-    (Cmd.info "dose" ~doc:"Dose-response: fault-intensity sensitivity sweep")
-    Term.(
-      const go $ seed_arg $ scale_arg $ journal_arg $ resume_arg $ jobs_arg
-      $ logs_term)
+  let params = { Ksurf.Harness.iterations = 2; warmup_iterations = 1 } in
+  let o, (result, denials) =
+    sanitized "specialize" (fun ~on_engine ->
+        let engine = Ksurf.Engine.create ~seed () in
+        on_engine engine;
+        let env =
+          Ksurf.Env.deploy ~engine
+            ~kernel_config:(Ksurf.Specializer.kernel_config spec)
+            Ksurf.Env.Multikernel
+            (Ksurf.Partition.equal_split ~units:2 ~total_cores:8
+               ~total_mem_mb:8192)
+        in
+        Ksurf.Specializer.install_all env spec;
+        let result = Ksurf.Harness.run ~env ~corpus ~params () in
+        let denials = ref 0 in
+        for rank = 0 to Ksurf.Env.rank_count env - 1 do
+          denials := !denials + Ksurf.Specializer.denials env ~rank
+        done;
+        (result, !denials))
+  in
+  Format.printf "specialize smoke seed=%d@." seed;
+  Format.printf "  %a@." Ksurf.Kspec.pp spec;
+  Format.printf "  %d sites, %d invocations, %s of virtual time@."
+    (Array.length result.Ksurf.Harness.sites)
+    (Ksurf.Harness.total_invocations result)
+    (Ksurf.Report.duration_ns result.Ksurf.Harness.wall_time_ns);
+  let failures =
+    Option.to_list
+      (if denials > 0 then
+         bad
+           "%d policy denials (%d dropped by the harness) — the allowlist \
+            must cover its own profile"
+           denials result.Ksurf.Harness.denied_calls
+       else None)
+  in
+  gate_verdict o ~failures
+    ~clean:"specialized run is deterministic, clean, zero denials"
 
-(* --- recover ----------------------------------------------------------- *)
-
-(* krecov driver.  Default form runs the recovery study (crash rate x
-   policy on the supervised 64-node BSP synthesis).  [--soak] is the
-   chaos gate for `make check`/CI: every policy must survive the
+(* krecov chaos gate for `make check`/CI: every policy must survive the
    "crashy" preset plus random crashes without wedging, and a run
    killed mid-sweep must resume from its checkpoint bit-identically. *)
-let recover seed scale soak export_dir journal_path resume jobs () =
+let recover_soak seed =
   let module S = Ksurf.Supervisor in
-  if soak then begin
-    let corpus =
-      (Ksurf.Generator.run
-         ~params:
-           {
-             Ksurf.Generator.default_params with
-             Ksurf.Generator.seed;
-             target_programs = 4;
-           }
-         ())
-        .Ksurf.Generator.corpus
-    in
-    let cconfig =
-      {
-        Ksurf.Cluster.default_config with
-        Ksurf.Cluster.nodes_simulated = 1;
-        sim_iterations_per_node = 8;
-        warmup_iterations = 1;
-        requests_per_iteration = 8;
-        seed;
-      }
-    in
-    let app =
-      match Ksurf.Apps.by_name "silo" with
-      | Some a -> a
-      | None -> List.hd Ksurf.Apps.all
-    in
-    let kind = Ksurf.Env.Kvm Ksurf.Virt_config.default in
-    let pool =
-      Ksurf.Cluster.pool ~app ~kind ~contended:false ~config:cconfig
-        ~noise_corpus:corpus ()
-    in
-    let plan =
-      match Ksurf.Fault_plan.preset "crashy" with
-      | Some p -> p
-      | None -> assert false
-    in
-    let base =
-      {
-        S.default_config with
-        S.nodes = cconfig.Ksurf.Cluster.nodes_total;
-        iterations = 10;
-        barrier_cost_ns =
-          Ksurf.Cluster.barrier_cost_for ~kind
-            ~nodes_total:cconfig.Ksurf.Cluster.nodes_total;
-        crash_rate = 0.02;
-        seed;
-      }
-    in
-    Format.printf "recover soak seed=%d: crashy preset + 2%% random crashes@."
+  let corpus = gate_corpus ~seed 4 in
+  let cconfig =
+    {
+      Ksurf.Cluster.default_config with
+      Ksurf.Cluster.nodes_simulated = 1;
+      sim_iterations_per_node = 8;
+      warmup_iterations = 1;
+      requests_per_iteration = 8;
       seed;
-    let failed = ref false in
-    List.iter
-      (fun policy ->
-        let o =
-          timed (S.policy_name policy) (fun () ->
-              S.run ~pool ~plan ~config:{ base with S.policy } ())
-        in
-        let ok = o.S.supersteps = base.S.iterations in
-        if not ok then failed := true;
-        Format.printf
-          "  %-11s %d/%d supersteps, %.3fs, %d crashes, %d restarts, %d \
-           backups, %d deaths, %d transitions — %s@."
-          o.S.policy o.S.supersteps base.S.iterations (o.S.runtime_ns /. 1e9)
-          o.S.crashes o.S.restarts o.S.backups o.S.deaths o.S.transitions
-          (if ok then "ok" else "WEDGED"))
-      [ S.Survivors; S.Readmit; S.Speculative ];
-    (* Kill-and-resume round-trip: a run killed after 3 supersteps and
-       resumed from its checkpoint must finish bit-identically to the
-       uninterrupted run. *)
-    let ckpt = Filename.temp_file "ksurf-soak" ".ckpt" in
-    Sys.remove ckpt;
-    let config =
-      {
-        base with
-        S.policy = S.Readmit;
-        checkpoint_interval = 2;
-        checkpoint_path = Some ckpt;
-      }
-    in
-    let full = S.run ~pool ~plan ~config () in
-    Sys.remove ckpt;
-    ignore (S.run ~pool ~plan ~config ~kill_after:3 ());
-    let resumed = S.run ~pool ~plan ~config ~resume_from:ckpt () in
-    if Sys.file_exists ckpt then Sys.remove ckpt;
-    let identical =
-      full.S.runtime_ns = resumed.S.runtime_ns
-      && full.S.crashes = resumed.S.crashes
-      && full.S.restarts = resumed.S.restarts
-      && full.S.transitions = resumed.S.transitions
-      && full.S.supersteps = resumed.S.supersteps
-    in
-    if not identical then failed := true;
-    Format.printf
-      "  kill-and-resume: %.0f vs %.0f ns, %d vs %d transitions (resumed \
-       from superstep %d) — %s@."
-      full.S.runtime_ns resumed.S.runtime_ns full.S.transitions
-      resumed.S.transitions resumed.S.resumed_from
-      (if identical then "identical" else "DIVERGENT");
-    if !failed then exit 1;
-    Format.printf "  soak clean: every policy completed, resume is exact@."
-  end
-  else begin
-    let journal = journal_of journal_path resume in
-    let t =
-      with_pool jobs (fun pool ->
-          timed "recover" (fun () ->
-              E.Recover.run ~seed ~scale ?journal ~pool ()))
-    in
-    Format.printf "%a@." E.Recover.pp t;
-    (match export_dir with
-    | None -> ()
-    | Some dir ->
-        List.iter
-          (fun p -> Format.printf "wrote %s@." p)
-          (Ksurf.Export.recover ~dir t));
-    finish_journal journal
-  end
-
-let recover_cmd =
-  let soak =
-    Arg.(
-      value & flag
-      & info [ "soak" ]
-          ~doc:
-            "Chaos gate: run every recovery policy under the crashy preset \
-             plus random crashes, then verify a killed run resumes from its \
-             checkpoint bit-identically; exit nonzero on any wedge or \
-             divergence.")
+    }
   in
-  let export_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "export" ] ~docv:"DIR"
-          ~doc:"Write recover.csv into $(docv) (study mode only).")
+  let app =
+    match Ksurf.Apps.by_name "silo" with
+    | Some a -> a
+    | None -> List.hd Ksurf.Apps.all
   in
-  Cmd.v
-    (Cmd.info "recover"
-       ~doc:
-         "krecov study: crash rate x recovery policy on the supervised \
-          64-node BSP synthesis")
-    Term.(
-      const recover $ seed_arg $ scale_arg $ soak $ export_dir $ journal_arg
-      $ resume_arg $ jobs_arg $ logs_term)
+  let kind = Ksurf.Env.Kvm Ksurf.Virt_config.default in
+  let pool =
+    Ksurf.Cluster.pool ~app ~kind ~contended:false ~config:cconfig
+      ~noise_corpus:corpus ()
+  in
+  let plan =
+    match Ksurf.Fault_plan.preset "crashy" with
+    | Some p -> p
+    | None -> assert false
+  in
+  let base =
+    {
+      S.default_config with
+      S.nodes = cconfig.Ksurf.Cluster.nodes_total;
+      iterations = 10;
+      barrier_cost_ns =
+        Ksurf.Cluster.barrier_cost_for ~kind
+          ~nodes_total:cconfig.Ksurf.Cluster.nodes_total;
+      crash_rate = 0.02;
+      seed;
+    }
+  in
+  Format.printf "recover soak seed=%d: crashy preset + 2%% random crashes@."
+    seed;
+  let failed = ref false in
+  List.iter
+    (fun policy ->
+      let o =
+        timed (S.policy_name policy) (fun () ->
+            S.run ~pool ~plan ~config:{ base with S.policy } ())
+      in
+      let ok = o.S.supersteps = base.S.iterations in
+      if not ok then failed := true;
+      Format.printf
+        "  %-11s %d/%d supersteps, %.3fs, %d crashes, %d restarts, %d \
+         backups, %d deaths, %d transitions — %s@."
+        o.S.policy o.S.supersteps base.S.iterations (o.S.runtime_ns /. 1e9)
+        o.S.crashes o.S.restarts o.S.backups o.S.deaths o.S.transitions
+        (if ok then "ok" else "WEDGED"))
+    [ S.Survivors; S.Readmit; S.Speculative ];
+  (* Kill-and-resume round-trip: a run killed after 3 supersteps and
+     resumed from its checkpoint must finish bit-identically to the
+     uninterrupted run. *)
+  let ckpt = Filename.temp_file "ksurf-soak" ".ckpt" in
+  Sys.remove ckpt;
+  let config =
+    {
+      base with
+      S.policy = S.Readmit;
+      checkpoint_interval = 2;
+      checkpoint_path = Some ckpt;
+    }
+  in
+  let full = S.run ~pool ~plan ~config () in
+  Sys.remove ckpt;
+  ignore (S.run ~pool ~plan ~config ~kill_after:3 ());
+  let resumed = S.run ~pool ~plan ~config ~resume_from:ckpt () in
+  if Sys.file_exists ckpt then Sys.remove ckpt;
+  let identical =
+    full.S.runtime_ns = resumed.S.runtime_ns
+    && full.S.crashes = resumed.S.crashes
+    && full.S.restarts = resumed.S.restarts
+    && full.S.transitions = resumed.S.transitions
+    && full.S.supersteps = resumed.S.supersteps
+  in
+  if not identical then failed := true;
+  Format.printf
+    "  kill-and-resume: %.0f vs %.0f ns, %d vs %d transitions (resumed \
+     from superstep %d) — %s@."
+    full.S.runtime_ns resumed.S.runtime_ns full.S.transitions
+    resumed.S.transitions resumed.S.resumed_from
+    (if identical then "identical" else "DIVERGENT");
+  if !failed then exit 1;
+  Format.printf "  soak clean: every policy completed, resume is exact@."
 
-(* --- tenancy ----------------------------------------------------------- *)
-
-(* ktenant driver.  Default form sweeps (policy x tenants x churn)
-   fleet cells and prints the per-cell table plus the SLO frontier.
-   [--smoke] is the `make check` gate: double-run a small churny
-   adaptive fleet under the determinism checker with lockdep +
-   invariants attached to the first run, then sanity-check the SLO
-   accounting; any replay divergence, sanitizer finding or accounting
-   inconsistency exits nonzero. *)
-let tenancy seed scale smoke tenants churns policies export_dir journal_path
-    resume jobs () =
-  let module A = Ksurf.Analysis in
+(* ktenant gate for `make check`: a small churny adaptive fleet under the
+   sanitizer harness, then the SLO accounting sanity-checked; any replay
+   divergence, sanitizer finding or accounting inconsistency exits
+   nonzero. *)
+let tenancy_smoke seed =
   let module F = Ksurf.Fleet in
   let module P = Ksurf.Tenant_policy in
-  if smoke then begin
-    let cfg =
-      {
-        F.default_config with
-        F.tenants = 24;
-        churn_per_day = 16.0;
-        policy = P.Adaptive;
-        seed;
-        host_cores = 16;
-        day_ns = 4e8;
-        days = 1.0;
-        mean_rate_per_s = 40.0;
-        epoch_ns = 5e7;
-      }
-    in
-    let last = ref None in
-    let findings = ref [] in
-    let static_done = ref false in
-    let run_once ~probe =
-      let static = ref None in
-      let engine_ref = ref None in
-      let result =
-        timed "tenancy fleet" (fun () ->
-            F.run
-              ~on_engine:(fun engine ->
-                engine_ref := Some engine;
-                Ksurf.Engine.add_probe engine probe;
-                if not !static_done then begin
-                  let lockdep = A.Lockdep.create () in
-                  let invariants = A.Invariants.create () in
-                  Ksurf.Engine.add_probe engine (A.Lockdep.on_event lockdep);
-                  Ksurf.Engine.add_probe engine
-                    (A.Invariants.on_event invariants);
-                  static := Some (lockdep, invariants)
-                end)
-              cfg)
-      in
-      last := Some result;
-      match !static with
-      | None -> ()
-      | Some (lockdep, invariants) ->
-          static_done := true;
-          let drained =
-            match !engine_ref with
-            | Some e -> Ksurf.Engine.pending e = 0
-            | None -> false
-          in
-          findings :=
-            !findings
-            @ A.Lockdep.finish ~drained lockdep
-            @ A.Invariants.finish ~drained invariants
-    in
-    let det =
-      timed "tenancy" (fun () ->
-          A.Determinism.check ~run:(fun ~probe -> run_once ~probe) ())
-    in
-    findings := !findings @ A.Determinism.to_findings det;
-    let r = match !last with Some r -> r | None -> assert false in
-    Format.printf "tenancy smoke seed=%d: %d tenants, churn %.0f/day, %s@."
-      seed cfg.F.tenants cfg.F.churn_per_day (P.name cfg.F.policy);
-    Format.printf
-      "  %d requests, %d arrivals, %d departures, %d cgroup storms \
-       (%d create / %d destroy, peak %d live), %d migrations@."
-      r.F.completed r.F.arrivals r.F.departures
-      (r.F.cgroup_creates + r.F.cgroup_destroys)
-      r.F.cgroup_creates r.F.cgroup_destroys r.F.peak_cgroups r.F.migrations;
-    Format.printf "  replay: %d vs %d events, hash %08x vs %08x — %s@."
-      det.A.Determinism.events_first det.A.Determinism.events_second
-      det.A.Determinism.hash_first det.A.Determinism.hash_second
-      (if A.Determinism.deterministic det then "identical" else "DIVERGENT");
-    (* SLO accounting must be internally consistent whatever the
-       latencies came out to. *)
-    let bad fmt = Format.kasprintf (fun m -> Some m) fmt in
-    let accounting =
-      List.filter_map Fun.id
-        [
-          (if r.F.completed <= 0 then bad "no requests completed" else None);
-          (if r.F.attainment < 0.0 || r.F.attainment > 1.0 then
-             bad "attainment %.3f outside [0,1]" r.F.attainment
-           else None);
-          (if r.F.slo_met > r.F.measured then
-             bad "slo_met %d > measured %d" r.F.slo_met r.F.measured
-           else None);
-          (if r.F.measured > cfg.F.tenants + r.F.arrivals then
-             bad "measured %d exceeds tenants ever admitted" r.F.measured
-           else None);
-          (if r.F.cgroup_destroys > r.F.cgroup_creates then
-             bad "cgroup destroys %d > creates %d" r.F.cgroup_destroys
-               r.F.cgroup_creates
-           else None);
-          (if r.F.replica_imbalance <> 0 then
-             bad "replica imbalance %d: live replicas diverged from \
-                  autoscaler targets"
-               r.F.replica_imbalance
-           else None);
-          (if r.F.departures > r.F.arrivals + cfg.F.tenants then
-             bad "departures %d exceed population" r.F.departures
-           else None);
-        ]
-    in
-    List.iter (fun m -> Format.printf "  FAIL: %s@." m) accounting;
-    List.iter (fun f -> Format.printf "  %a@." A.Finding.pp f) !findings;
-    if accounting <> [] || !findings <> [] then exit 1;
-    Format.printf
-      "  no findings: churny fleet is deterministic, clean, accounting \
-       consistent@."
-  end
-  else begin
-    let journal = journal_of journal_path resume in
-    let tenants = match tenants with [] -> None | l -> Some l in
-    let churns = match churns with [] -> None | l -> Some l in
-    let policies =
-      match policies with
-      | [] -> None
-      | l ->
-          Some
-            (List.map
-               (fun s ->
-                 match Ksurf.Tenant_policy.of_string s with
-                 | Some p -> p
-                 | None ->
-                     Format.eprintf "unknown policy %S (%s)@." s
-                       (String.concat "|" Ksurf.Tenant_policy.names);
-                     exit 2)
-               l)
-    in
-    let t =
-      with_pool jobs (fun pool ->
-          timed "tenancy" (fun () ->
-              E.Tenancy.run ~seed ~scale ?tenants ?churns ?policies ?journal
-                ~pool ()))
-    in
-    Format.printf "%a@." E.Tenancy.pp t;
-    (match export_dir with
-    | None -> ()
-    | Some dir ->
-        List.iter
-          (fun p -> Format.printf "wrote %s@." p)
-          (Ksurf.Export.tenancy ~dir t));
-    finish_journal journal
-  end
+  let cfg =
+    {
+      F.default_config with
+      F.tenants = 24;
+      churn_per_day = 16.0;
+      policy = P.Adaptive;
+      seed;
+      host_cores = 16;
+      day_ns = 4e8;
+      days = 1.0;
+      mean_rate_per_s = 40.0;
+      epoch_ns = 5e7;
+    }
+  in
+  let o, r = sanitized "tenancy" (fun ~on_engine -> F.run ~on_engine cfg) in
+  Format.printf "tenancy smoke seed=%d: %d tenants, churn %.0f/day, %s@."
+    seed cfg.F.tenants cfg.F.churn_per_day (P.name cfg.F.policy);
+  Format.printf
+    "  %d requests, %d arrivals, %d departures, %d cgroup storms \
+     (%d create / %d destroy, peak %d live), %d migrations@."
+    r.F.completed r.F.arrivals r.F.departures
+    (r.F.cgroup_creates + r.F.cgroup_destroys)
+    r.F.cgroup_creates r.F.cgroup_destroys r.F.peak_cgroups r.F.migrations;
+  (* SLO accounting must be internally consistent whatever the
+     latencies came out to. *)
+  let accounting =
+    List.filter_map Fun.id
+      [
+        (if r.F.completed <= 0 then bad "no requests completed" else None);
+        (if r.F.attainment < 0.0 || r.F.attainment > 1.0 then
+           bad "attainment %.3f outside [0,1]" r.F.attainment
+         else None);
+        (if r.F.slo_met > r.F.measured then
+           bad "slo_met %d > measured %d" r.F.slo_met r.F.measured
+         else None);
+        (if r.F.measured > cfg.F.tenants + r.F.arrivals then
+           bad "measured %d exceeds tenants ever admitted" r.F.measured
+         else None);
+        (if r.F.cgroup_destroys > r.F.cgroup_creates then
+           bad "cgroup destroys %d > creates %d" r.F.cgroup_destroys
+             r.F.cgroup_creates
+         else None);
+        (if r.F.replica_imbalance <> 0 then
+           bad "replica imbalance %d: live replicas diverged from \
+                autoscaler targets"
+             r.F.replica_imbalance
+         else None);
+        (if r.F.departures > r.F.arrivals + cfg.F.tenants then
+           bad "departures %d exceed population" r.F.departures
+         else None);
+      ]
+  in
+  gate_verdict o ~failures:accounting
+    ~clean:"churny fleet is deterministic, clean, accounting consistent"
 
-let tenancy_cmd =
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Gate mode: double-run a churny adaptive fleet under the \
-             sanitizers and check the SLO accounting; exit nonzero on \
-             divergence, findings or inconsistency.")
-  in
-  let tenants =
-    Arg.(
-      value
-      & opt (list int) []
-      & info [ "tenants" ] ~docv:"N,..."
-          ~doc:"Tenant counts to sweep (default depends on --scale).")
-  in
-  let churns =
-    Arg.(
-      value
-      & opt (list float) []
-      & info [ "churn" ] ~docv:"R,..."
-          ~doc:
-            "Per-tenant churn rates to sweep, in lifecycle events per \
-             tenant per virtual day (default depends on --scale).")
-  in
-  let policies =
-    Arg.(
-      value
-      & opt (list string) []
-      & info [ "policy" ] ~docv:"P,..."
-          ~doc:
-            "Placement policies to sweep: $(b,native-shared), $(b,docker), \
-             $(b,kvm), $(b,multikernel) or $(b,adaptive) (default: all).")
-  in
-  let export_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "export" ] ~docv:"DIR"
-          ~doc:"Write tenancy.csv into $(docv) (study mode only).")
-  in
-  Cmd.v
-    (Cmd.info "tenancy"
-       ~doc:
-         "ktenant study: fleet-scale multi-tenant serving under churn and \
-          diurnal load — placement policy x tenant count x churn rate, \
-          with per-tenant p99 SLO autoscaling")
-    Term.(
-      const tenancy $ seed_arg $ scale_arg $ smoke $ tenants $ churns
-      $ policies $ export_dir $ journal_arg $ resume_arg $ jobs_arg
-      $ logs_term)
-
-(* --- drift ------------------------------------------------------------- *)
-
-(* kadapt driver.  Default form sweeps (policy x dose) driftbench cells
-   and prints the dose-response table (false-positive ENOSYS vs retained
-   surface area vs time-to-reconverge).  [--smoke] is the `make check`
-   gate: double-run a small adaptive cell under the determinism checker
-   with lockdep + invariants attached to the first run, count every
-   policy hot-swap transition off the probe stream, cross-check the
-   controller accounting, and run the same cell under the static policy
-   to assert the headline dominance; any divergence, sanitizer finding
-   or accounting inconsistency exits nonzero. *)
-let drift seed scale smoke doses policies export_dir journal_path resume jobs
-    () =
-  let module A = Ksurf.Analysis in
+(* kadapt gate for `make check`: the [adaptive-drift] scenario's cell
+   under the sanitizer harness, every policy hot-swap transition
+   counted off the probe stream, the controller accounting
+   cross-checked, and the same cell run under the static policy to
+   assert the headline dominance; any divergence, sanitizer finding or
+   accounting inconsistency exits nonzero. *)
+let drift_smoke seed =
   let module D = Ksurf.Driftbench in
-  if smoke then begin
-    let cfg policy =
-      {
-        D.default_config with
-        D.policy;
-        dose = 2.0;
-        epochs = 24;
-        programs_per_epoch = 12;
-        corpus_programs = 16;
-        drift_at_ns = 8_000_000.0;
-        seed;
-      }
-    in
-    let last = ref None in
-    let findings = ref [] in
-    let static_done = ref false in
-    let policy_transitions = ref 0 in
-    let run_once ~probe =
-      let static = ref None in
-      let engine_ref = ref None in
-      let result =
-        timed "drift cell" (fun () ->
-            D.run
-              ~on_engine:(fun engine ->
-                engine_ref := Some engine;
-                Ksurf.Engine.add_probe engine probe;
-                if not !static_done then begin
-                  let lockdep = A.Lockdep.create () in
-                  let invariants = A.Invariants.create () in
-                  Ksurf.Engine.add_probe engine (A.Lockdep.on_event lockdep);
-                  Ksurf.Engine.add_probe engine
-                    (A.Invariants.on_event invariants);
-                  Ksurf.Engine.add_probe engine (function
-                    | Ksurf.Engine.Rank_transition { to_state; _ }
-                      when to_state = "audit" || to_state = "enforce" ->
-                        incr policy_transitions
-                    | _ -> ());
-                  static := Some (lockdep, invariants)
-                end)
-              (cfg D.Adaptive))
-      in
-      last := Some result;
-      match !static with
-      | None -> ()
-      | Some (lockdep, invariants) ->
-          static_done := true;
-          let drained =
-            match !engine_ref with
-            | Some e -> Ksurf.Engine.pending e = 0
-            | None -> false
-          in
-          findings :=
-            !findings
-            @ A.Lockdep.finish ~drained lockdep
-            @ A.Invariants.finish ~drained invariants
-    in
-    let det =
-      timed "drift" (fun () ->
-          A.Determinism.check ~run:(fun ~probe -> run_once ~probe) ())
-    in
-    findings := !findings @ A.Determinism.to_findings det;
-    let r = match !last with Some r -> r | None -> assert false in
-    let s = timed "static cell" (fun () -> D.run (cfg D.Static)) in
-    Format.printf "drift smoke seed=%d: %d ranks, dose %.1f, adaptive@." seed
-      r.D.ranks r.D.dose;
-    Format.printf
-      "  %d calls (%d post-drift), %d denied, fp %.4f, surface reduction \
-       %.3f, %d promotions / %d demotions / %d swaps, reconverge %s@."
-      r.D.calls r.D.calls_post_drift r.D.denied r.D.fp_rate r.D.reduction
-      r.D.promotions r.D.demotions r.D.swaps
-      (match r.D.reconverge_ns with
-      | None -> "n/a"
-      | Some ns -> Printf.sprintf "%.0f ns" ns);
-    Format.printf "  replay: %d vs %d events, hash %08x vs %08x — %s@."
-      det.A.Determinism.events_first det.A.Determinism.events_second
-      det.A.Determinism.hash_first det.A.Determinism.hash_second
-      (if A.Determinism.deterministic det then "identical" else "DIVERGENT");
-    (* The controller choreography must be internally consistent, every
-       hot-swap probe-visible, and the headline claim must hold even at
-       smoke scale: adaptive strictly beats static on post-drift false
-       positives while retaining most of its surface reduction. *)
-    let bad fmt = Format.kasprintf (fun m -> Some m) fmt in
-    let accounting =
-      List.filter_map Fun.id
-        [
-          (if r.D.calls <= 0 then bad "no calls issued" else None);
-          (if r.D.drifts <> 1 then
-             bad "expected exactly 1 workload drift, saw %d" r.D.drifts
-           else None);
-          (if r.D.drift_at_ns = None then
-             bad "drift never fired (sink not called)"
-           else None);
-          (if r.D.fp_rate < 0.0 || r.D.fp_rate > 1.0 then
-             bad "fp rate %.4f outside [0,1]" r.D.fp_rate
-           else None);
-          (if r.D.denied_post_drift > r.D.denied then
-             bad "post-drift denials %d exceed total %d" r.D.denied_post_drift
-               r.D.denied
-           else None);
-          (if r.D.calls_post_drift > r.D.calls then
-             bad "post-drift calls %d exceed total %d" r.D.calls_post_drift
-               r.D.calls
-           else None);
-          (if r.D.swaps <> r.D.ranks + r.D.promotions + r.D.demotions then
-             bad "swap count %d inconsistent: %d ranks + %d promotions + %d \
-                  demotions"
-               r.D.swaps r.D.ranks r.D.promotions r.D.demotions
-           else None);
-          (if !policy_transitions <> r.D.swaps then
-             bad "probe saw %d policy transitions, env counted %d swaps"
-               !policy_transitions r.D.swaps
-           else None);
-          (if r.D.promotions < r.D.ranks then
-             bad "only %d promotions across %d ranks: some rank never left \
-                  audit"
-               r.D.promotions r.D.ranks
-           else None);
-          (if r.D.demotions < 1 then
-             bad "dose %.1f drift triggered no demotion" r.D.dose
-           else None);
-          (if s.D.denied = 0 then
-             bad "static policy denied nothing under drift" else None);
-          (if r.D.fp_rate >= s.D.fp_rate then
-             bad "adaptive fp %.4f does not beat static %.4f" r.D.fp_rate
-               s.D.fp_rate
-           else None);
-          (if s.D.reduction > 0.0 && r.D.reduction < 0.4 *. s.D.reduction then
-             bad "adaptive retains only %.0f%% of static's surface reduction"
-               (100.0 *. r.D.reduction /. s.D.reduction)
-           else None);
-        ]
-    in
-    List.iter (fun m -> Format.printf "  FAIL: %s@." m) accounting;
-    List.iter (fun f -> Format.printf "  %a@." A.Finding.pp f) !findings;
-    if accounting <> [] || !findings <> [] then exit 1;
-    Format.printf
-      "  no findings: adaptive cell is deterministic, clean, accounting \
-       consistent, dominates static@."
-  end
-  else begin
-    let journal = journal_of journal_path resume in
-    let doses = match doses with [] -> None | l -> Some l in
-    let policies =
-      match policies with
-      | [] -> None
-      | l ->
-          Some
-            (List.map
-               (fun p ->
-                 match D.policy_of_string p with
-                 | Some p -> p
-                 | None ->
-                     Format.eprintf
-                       "unknown policy %S (static|audit|adaptive)@." p;
-                     exit 2)
-               l)
-    in
-    let t =
-      with_pool jobs (fun pool ->
-          timed "drift" (fun () ->
-              E.Drift.run ~seed ~scale ?doses ?policies ?journal ~pool ()))
-    in
-    Format.printf "%a@." E.Drift.pp t;
-    (match export_dir with
-    | None -> ()
-    | Some dir ->
-        List.iter
-          (fun p -> Format.printf "wrote %s@." p)
-          (Ksurf.Export.drift ~dir t));
-    finish_journal journal
-  end
-
-let drift_cmd =
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Gate mode: double-run a small adaptive driftbench cell under \
-             the sanitizers, cross-check the controller accounting against \
-             the probe stream, and assert adaptive dominates static; exit \
-             nonzero on divergence, findings or inconsistency.")
+  let o, (r, policy_transitions) =
+    sanitized "drift" (fun ~on_engine ->
+        let transitions = ref 0 in
+        let count engine =
+          on_engine engine;
+          Ksurf.Engine.add_probe engine (function
+            | Ksurf.Engine.Rank_transition { to_state; _ }
+              when to_state = "audit" || to_state = "enforce" ->
+                incr transitions
+            | _ -> ())
+        in
+        let r =
+          D.run ~on_engine:count
+            (A.Scenarios.drift_cell ~policy:D.Adaptive ~seed)
+        in
+        (r, !transitions))
   in
-  let doses =
-    Arg.(
-      value
-      & opt (list float) []
-      & info [ "dose" ] ~docv:"D,..."
-          ~doc:
-            "Drift doses to sweep; the injected mix shift is dose x 0.25 \
-             (default: 0,1,2,3).")
+  let s =
+    timed "static cell" (fun () ->
+        D.run (A.Scenarios.drift_cell ~policy:D.Static ~seed))
   in
-  let policies =
-    Arg.(
-      value
-      & opt (list string) []
-      & info [ "policy" ] ~docv:"P,..."
-          ~doc:
-            "Policies to sweep: $(b,static), $(b,audit) or $(b,adaptive) \
-             (default: all).")
+  Format.printf "drift smoke seed=%d: %d ranks, dose %.1f, adaptive@." seed
+    r.D.ranks r.D.dose;
+  Format.printf
+    "  %d calls (%d post-drift), %d denied, fp %.4f, surface reduction \
+     %.3f, %d promotions / %d demotions / %d swaps, reconverge %s@."
+    r.D.calls r.D.calls_post_drift r.D.denied r.D.fp_rate r.D.reduction
+    r.D.promotions r.D.demotions r.D.swaps
+    (match r.D.reconverge_ns with
+    | None -> "n/a"
+    | Some ns -> Printf.sprintf "%.0f ns" ns);
+  (* The controller choreography must be internally consistent, every
+     hot-swap probe-visible, and the headline claim must hold even at
+     smoke scale: adaptive strictly beats static on post-drift false
+     positives while retaining most of its surface reduction. *)
+  let accounting =
+    List.filter_map Fun.id
+      [
+        (if r.D.calls <= 0 then bad "no calls issued" else None);
+        (if r.D.drifts <> 1 then
+           bad "expected exactly 1 workload drift, saw %d" r.D.drifts
+         else None);
+        (if r.D.drift_at_ns = None then
+           bad "drift never fired (sink not called)"
+         else None);
+        (if r.D.fp_rate < 0.0 || r.D.fp_rate > 1.0 then
+           bad "fp rate %.4f outside [0,1]" r.D.fp_rate
+         else None);
+        (if r.D.denied_post_drift > r.D.denied then
+           bad "post-drift denials %d exceed total %d" r.D.denied_post_drift
+             r.D.denied
+         else None);
+        (if r.D.calls_post_drift > r.D.calls then
+           bad "post-drift calls %d exceed total %d" r.D.calls_post_drift
+             r.D.calls
+         else None);
+        (if r.D.swaps <> r.D.ranks + r.D.promotions + r.D.demotions then
+           bad "swap count %d inconsistent: %d ranks + %d promotions + %d \
+                demotions"
+             r.D.swaps r.D.ranks r.D.promotions r.D.demotions
+         else None);
+        (if policy_transitions <> r.D.swaps then
+           bad "probe saw %d policy transitions, env counted %d swaps"
+             policy_transitions r.D.swaps
+         else None);
+        (if r.D.promotions < r.D.ranks then
+           bad "only %d promotions across %d ranks: some rank never left \
+                audit"
+             r.D.promotions r.D.ranks
+         else None);
+        (if r.D.demotions < 1 then
+           bad "dose %.1f drift triggered no demotion" r.D.dose
+         else None);
+        (if s.D.denied = 0 then
+           bad "static policy denied nothing under drift" else None);
+        (if r.D.fp_rate >= s.D.fp_rate then
+           bad "adaptive fp %.4f does not beat static %.4f" r.D.fp_rate
+             s.D.fp_rate
+         else None);
+        (if s.D.reduction > 0.0 && r.D.reduction < 0.4 *. s.D.reduction then
+           bad "adaptive retains only %.0f%% of static's surface reduction"
+             (100.0 *. r.D.reduction /. s.D.reduction)
+         else None);
+      ]
   in
-  let export_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "export" ] ~docv:"DIR"
-          ~doc:"Write drift.csv into $(docv) (study mode only).")
-  in
-  Cmd.v
-    (Cmd.info "drift"
-       ~doc:
-         "kadapt study: online adaptive specialization under workload drift \
-          — policy x dose, tabling false-positive ENOSYS rate vs retained \
-          surface area vs time-to-reconverge")
-    Term.(
-      const drift $ seed_arg $ scale_arg $ smoke $ doses $ policies
-      $ export_dir $ journal_arg $ resume_arg $ jobs_arg $ logs_term)
+  gate_verdict o ~failures:accounting
+    ~clean:
+      "adaptive cell is deterministic, clean, accounting consistent, \
+       dominates static"
 
 (* --- torture ------------------------------------------------------------ *)
 
@@ -1408,297 +890,477 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* kdur driver.  Default form sweeps (writer path x dose) torture
-   cells — ALICE-style crash-state enumeration plus live faulted runs
-   with recovery — and prints the consistency table.  [--smoke] is the
-   `make check` gate: the quick grid at 1 and 4 workers with
+(* kdur gate for `make check`: the quick grid at 1 and 4 workers with
    byte-compared exports and zero tolerated violations, then the same
    durability machinery wired into a live engine workload — scenario
    cells journalled under an armed fault plan (transients, an ENOSPC
-   window, a scheduled crash) with the full sanitizer stack (lockdep +
-   determinism + invariants) watching every engine. *)
-let torture seed scale smoke doses paths export_dir journal_path resume jobs ()
-    =
-  let module A = Ksurf.Analysis in
+   window, a scheduled crash) under the sanitizer harness. *)
+let torture_smoke ~seed ~doses ~kinds =
   let module T = Ksurf.Torture in
-  let kinds =
-    match paths with
-    | [] -> None
-    | l ->
-        Some
-          (List.map
-             (fun p ->
-               match T.kind_of_name p with
-               | Some k -> k
-               | None ->
-                   Format.eprintf
-                     "unknown writer path %S (journal|checkpoint|export)@." p;
-                   exit 2)
-             l)
+  let root = fresh_temp_dir "ksurf-torture-smoke" in
+  Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
+  let failures = ref [] in
+  let fail fmt =
+    Format.kasprintf (fun m -> failures := !failures @ [ m ]) fmt
   in
-  let doses = match doses with [] -> None | l -> Some l in
-  if smoke then begin
-    let root = fresh_temp_dir "ksurf-torture-smoke" in
-    Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
-    let failures = ref [] in
-    let bad fmt =
-      Format.kasprintf (fun m -> failures := !failures @ [ m ]) fmt
-    in
-    (* 1. The quick grid, twice: every cell must hold every invariant
-       at every crash point, and both the cell results and the
-       exported bytes must be independent of the worker count. *)
-    let grid n sub =
-      Ksurf.Pool.with_pool ~jobs:n (fun pool ->
-          timed
-            (Printf.sprintf "torture grid (%d worker%s)" n
-               (if n = 1 then "" else "s"))
-            (fun () ->
-              E.Torture.run ~seed ~scale:E.Quick ?doses:(Some (Option.value ~default:[ 0.0; 1.0 ] doses))
-                ?kinds
-                ~scratch:(Filename.concat root sub)
-                ~pool ()))
-    in
-    let t1 = grid 1 "grid-j1" in
-    let t4 = grid 4 "grid-j4" in
-    Format.printf "%a@." E.Torture.pp t1;
-    List.iter
-      (fun (r : T.result) ->
-        if T.violations r <> 0 then
-          bad "%s dose %.1f: %d consistency violations" r.T.kind r.T.dose
-            (T.violations r);
-        if r.T.live_runs > 0 && r.T.recovery_ok < 1.0 then
-          bad "%s dose %.1f: live recovery %.2f < 1.0" r.T.kind r.T.dose
-            r.T.recovery_ok)
-      t1.E.Torture.cells;
-    if t1.E.Torture.cells <> t4.E.Torture.cells then
-      bad "cell results differ between 1 and 4 workers";
-    let export sub t =
-      String.concat "\x00"
-        (List.map read_file (Ksurf.Export.torture ~dir:(Filename.concat root sub) t))
-    in
-    if export "csv-j1" t1 <> export "csv-j4" t4 then
-      bad "exported CSV bytes differ between 1 and 4 workers";
-    Format.printf
-      "  grid: %d cells, %d crash states enumerated, %d torn files refused@."
-      (List.length t1.E.Torture.cells)
-      (List.fold_left (fun a (r : T.result) -> a + r.T.crash_states) 0
-         t1.E.Torture.cells)
-      (List.fold_left (fun a (r : T.result) -> a + r.T.torn_refused) 0
-         t1.E.Torture.cells);
-    (* 2. Engine integration: three varbench scenario cells, each
-       completion recorded through a Recov_journal whose host I/O runs
-       under an armed fault plan — recover from every injected death,
-       drain every deferred persist, and replay the whole thing twice
-       under the determinism checker with lockdep + invariants on the
-       first pass. *)
-    let plan =
-      {
-        Ksurf.Durplan.name = "smoke";
-        actions =
-          [
-            Ksurf.Durplan.Transient { rate = 0.4; eintr_share = 0.5 };
-            Ksurf.Durplan.Enospc_window { from_op = 4; until_op = 8 };
-            Ksurf.Durplan.Crash_at { op = 2 };
-          ];
-      }
-    in
-    let cells = [ "varbench:0"; "varbench:1"; "varbench:2" ] in
-    let findings = ref [] in
-    let static_done = ref false in
-    let replay = ref 0 in
-    let litter_swept = ref 0 in
-    let last_stats = ref None in
-    let run_once ~probe =
-      incr replay;
-      let dir = Filename.concat root (Printf.sprintf "live-%d" !replay) in
-      Ksurf.Fileio.ensure_dir dir;
-      let jpath = Filename.concat dir "cells.journal" in
-      let inj = Ksurf.Faultio.make ~root:dir ~seed plan in
-      let sanitizers = ref [] in
-      let executed = ref [] in
-      let on_engine e =
-        Ksurf.Engine.add_probe e probe;
-        if not !static_done then begin
-          let lockdep = A.Lockdep.create () in
-          let invariants = A.Invariants.create () in
-          Ksurf.Engine.add_probe e (A.Lockdep.on_event lockdep);
-          Ksurf.Engine.add_probe e (A.Invariants.on_event invariants);
-          sanitizers := (e, lockdep, invariants) :: !sanitizers
-        end
-      in
-      let attempts = ref 0 in
-      let completed = ref false in
-      while (not !completed) && !attempts < 50 do
-        incr attempts;
-        match
-          Ksurf.Faultio.with_faults inj (fun () ->
-              litter_swept := !litter_swept + Ksurf.Fileio.sweep_tmp ~dir;
-              let j = Ksurf.Recov_journal.load ~flush_every:1 ~path:jpath () in
-              List.iter
-                (fun cell ->
-                  if not (Ksurf.Recov_journal.mem j cell) then begin
-                    (* Recorded cells are never re-executed; a cell
-                       whose completion died before persisting is
-                       legitimately recomputed — here memoised so the
-                       engine event stream stays replay-identical. *)
-                    if not (List.mem cell !executed) then begin
-                      A.Scenarios.run A.Scenarios.Varbench ~seed ~on_engine;
-                      executed := cell :: !executed
-                    end;
-                    Ksurf.Recov_journal.record j cell
-                  end)
-                cells;
-              Ksurf.Recov_journal.flush j;
-              Ksurf.Recov_journal.persist_pending j)
-        with
-        | false -> completed := true
-        | true -> () (* ENOSPC deferral: space clears as ops advance *)
-        | exception Ksurf.Iohook.Crashed _ -> () (* next attempt recovers *)
-      done;
-      if not !completed then bad "replay %d: journal never converged" !replay;
-      if List.length !executed <> List.length cells then
-        bad "replay %d: %d cells executed, expected %d" !replay
-          (List.length !executed) (List.length cells);
-      let j = Ksurf.Recov_journal.load ~path:jpath () in
-      List.iter
-        (fun cell ->
-          if not (Ksurf.Recov_journal.mem j cell) then
-            bad "replay %d: cell %s lost" !replay cell)
-        cells;
-      if Ksurf.Fileio.sweep_tmp ~dir <> 0 then
-        bad "replay %d: temp litter survived recovery" !replay;
-      last_stats := Some (Ksurf.Faultio.stats inj);
-      if !sanitizers <> [] then begin
-        static_done := true;
+  (* 1. The quick grid, twice: every cell must hold every invariant
+     at every crash point, and both the cell results and the
+     exported bytes must be independent of the worker count. *)
+  let grid n sub =
+    Ksurf.Pool.with_pool ~jobs:n (fun pool ->
+        timed
+          (Printf.sprintf "torture grid (%d worker%s)" n
+             (if n = 1 then "" else "s"))
+          (fun () ->
+            E.Torture.run ~seed ~scale:E.Quick ?doses:(Some (Option.value ~default:[ 0.0; 1.0 ] doses))
+              ?kinds
+              ~scratch:(Filename.concat root sub)
+              ~pool ()))
+  in
+  let t1 = grid 1 "grid-j1" in
+  let t4 = grid 4 "grid-j4" in
+  Format.printf "%a@." E.Torture.pp t1;
+  List.iter
+    (fun (r : T.result) ->
+      if T.violations r <> 0 then
+        fail "%s dose %.1f: %d consistency violations" r.T.kind r.T.dose
+          (T.violations r);
+      if r.T.live_runs > 0 && r.T.recovery_ok < 1.0 then
+        fail "%s dose %.1f: live recovery %.2f < 1.0" r.T.kind r.T.dose
+          r.T.recovery_ok)
+    t1.E.Torture.cells;
+  if t1.E.Torture.cells <> t4.E.Torture.cells then
+    fail "cell results differ between 1 and 4 workers";
+  let export sub t =
+    String.concat "\x00"
+      (List.map read_file (Ksurf.Export.torture ~dir:(Filename.concat root sub) t))
+  in
+  if export "csv-j1" t1 <> export "csv-j4" t4 then
+    fail "exported CSV bytes differ between 1 and 4 workers";
+  Format.printf
+    "  grid: %d cells, %d crash states enumerated, %d torn files refused@."
+    (List.length t1.E.Torture.cells)
+    (List.fold_left (fun a (r : T.result) -> a + r.T.crash_states) 0
+       t1.E.Torture.cells)
+    (List.fold_left (fun a (r : T.result) -> a + r.T.torn_refused) 0
+       t1.E.Torture.cells);
+  (* 2. Engine integration: three varbench scenario cells, each
+     completion recorded through a Recov_journal whose host I/O runs
+     under an armed fault plan — recover from every injected death,
+     drain every deferred persist, and replay the whole thing under
+     the sanitizer harness. *)
+  let plan =
+    {
+      Ksurf.Durplan.name = "smoke";
+      actions =
+        [
+          Ksurf.Durplan.Transient { rate = 0.4; eintr_share = 0.5 };
+          Ksurf.Durplan.Enospc_window { from_op = 4; until_op = 8 };
+          Ksurf.Durplan.Crash_at { op = 2 };
+        ];
+    }
+  in
+  let cells = [ "varbench:0"; "varbench:1"; "varbench:2" ] in
+  let replay = ref 0 in
+  let litter_swept = ref 0 in
+  let o, (s : Ksurf.Faultio.stats) =
+    sanitized "torture live" (fun ~on_engine ->
+        incr replay;
+        let dir = Filename.concat root (Printf.sprintf "live-%d" !replay) in
+        Ksurf.Fileio.ensure_dir dir;
+        let jpath = Filename.concat dir "cells.journal" in
+        let inj = Ksurf.Faultio.make ~root:dir ~seed plan in
+        let executed = ref [] in
+        let attempts = ref 0 in
+        let completed = ref false in
+        while (not !completed) && !attempts < 50 do
+          incr attempts;
+          match
+            Ksurf.Faultio.with_faults inj (fun () ->
+                litter_swept := !litter_swept + Ksurf.Fileio.sweep_tmp ~dir;
+                let j = Ksurf.Recov_journal.load ~flush_every:1 ~path:jpath () in
+                List.iter
+                  (fun cell ->
+                    if not (Ksurf.Recov_journal.mem j cell) then begin
+                      (* Recorded cells are never re-executed; a cell
+                         whose completion died before persisting is
+                         legitimately recomputed — here memoised so the
+                         engine event stream stays replay-identical. *)
+                      if not (List.mem cell !executed) then begin
+                        A.Scenarios.run A.Scenarios.Varbench ~seed ~on_engine;
+                        executed := cell :: !executed
+                      end;
+                      Ksurf.Recov_journal.record j cell
+                    end)
+                  cells;
+                Ksurf.Recov_journal.flush j;
+                Ksurf.Recov_journal.persist_pending j)
+          with
+          | false -> completed := true
+          | true -> () (* ENOSPC deferral: space clears as ops advance *)
+          | exception Ksurf.Iohook.Crashed _ -> () (* next attempt recovers *)
+        done;
+        if not !completed then fail "replay %d: journal never converged" !replay;
+        if List.length !executed <> List.length cells then
+          fail "replay %d: %d cells executed, expected %d" !replay
+            (List.length !executed) (List.length cells);
+        let j = Ksurf.Recov_journal.load ~path:jpath () in
         List.iter
-          (fun (e, lockdep, invariants) ->
-            let drained = Ksurf.Engine.pending e = 0 in
-            findings :=
-              !findings
-              @ A.Lockdep.finish ~drained lockdep
-              @ A.Invariants.finish ~drained invariants)
-          !sanitizers
-      end
-    in
-    let det =
-      timed "torture live" (fun () ->
-          A.Determinism.check ~run:(fun ~probe -> run_once ~probe) ())
-    in
-    findings := !findings @ A.Determinism.to_findings det;
-    (match !last_stats with
-    | None -> bad "live phase never ran"
-    | Some (s : Ksurf.Faultio.stats) ->
-        if s.Ksurf.Faultio.crashes < 1 then
-          bad "scheduled crash never fired";
-        if s.Ksurf.Faultio.enospc < 1 then bad "ENOSPC window never hit";
-        if s.Ksurf.Faultio.transients < 1 then
-          bad "no transient faults injected";
-        Format.printf
-          "  live: %d ops, %d transients, %d enospc, %d crashes, %d temp \
-           file(s) swept during recovery@."
-          s.Ksurf.Faultio.ops s.Ksurf.Faultio.transients s.Ksurf.Faultio.enospc
-          s.Ksurf.Faultio.crashes !litter_swept);
-    Format.printf "  replay: %d vs %d events, hash %08x vs %08x — %s@."
-      det.A.Determinism.events_first det.A.Determinism.events_second
-      det.A.Determinism.hash_first det.A.Determinism.hash_second
-      (if A.Determinism.deterministic det then "identical" else "DIVERGENT");
-    List.iter (fun m -> Format.printf "  FAIL: %s@." m) !failures;
-    List.iter (fun f -> Format.printf "  %a@." A.Finding.pp f) !findings;
-    if !failures <> [] || !findings <> [] then exit 1;
-    Format.printf
-      "  no findings: every crash state recovers, sweeps are worker-count \
-       invariant, faulted journalling is deterministic and clean@."
-  end
-  else begin
-    let journal = journal_of journal_path resume in
-    let scratch =
-      E.Torture.default_scratch ^ "." ^ string_of_int (Unix.getpid ())
-    in
-    let t =
-      Fun.protect
-        ~finally:(fun () -> rm_rf scratch)
-        (fun () ->
-          with_pool jobs (fun pool ->
-              timed "torture" (fun () ->
-                  E.Torture.run ~seed ~scale ?doses ?kinds ~scratch ?journal
-                    ~pool ())))
-    in
-    Format.printf "%a@." E.Torture.pp t;
-    (match export_dir with
-    | None -> ()
-    | Some dir ->
-        List.iter
-          (fun p -> Format.printf "wrote %s@." p)
-          (Ksurf.Export.torture ~dir t));
-    finish_journal journal;
-    if E.Torture.violations t <> 0 then exit 1
-  end
+          (fun cell ->
+            if not (Ksurf.Recov_journal.mem j cell) then
+              fail "replay %d: cell %s lost" !replay cell)
+          cells;
+        if Ksurf.Fileio.sweep_tmp ~dir <> 0 then
+          fail "replay %d: temp litter survived recovery" !replay;
+        Ksurf.Faultio.stats inj)
+  in
+  if s.Ksurf.Faultio.crashes < 1 then fail "scheduled crash never fired";
+  if s.Ksurf.Faultio.enospc < 1 then fail "ENOSPC window never hit";
+  if s.Ksurf.Faultio.transients < 1 then fail "no transient faults injected";
+  Format.printf
+    "  live: %d ops, %d transients, %d enospc, %d crashes, %d temp \
+     file(s) swept during recovery@."
+    s.Ksurf.Faultio.ops s.Ksurf.Faultio.transients s.Ksurf.Faultio.enospc
+    s.Ksurf.Faultio.crashes !litter_swept;
+  gate_verdict o ~failures:!failures
+    ~clean:
+      "every crash state recovers, sweeps are worker-count invariant, \
+       faulted journalling is deterministic and clean"
 
-let torture_cmd =
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Gate mode: run the quick torture grid at 1 and 4 workers \
-             (byte-compared exports, zero tolerated violations), then \
-             journal live scenario cells under an armed fault plan with \
-             lockdep, determinism and invariant checking; exit nonzero on \
-             any violation, divergence or finding.")
+(* --- study registry ------------------------------------------------------ *)
+
+(* What the registry hands a study run: the shared flags, the corpus
+   [all] shares across the paper studies, the --journal and the pool. *)
+type ctx = {
+  seed : int;
+  scale : E.scale;
+  corpus : Ksurf.Corpus.t option;
+  journal : Ksurf.Recov_journal.t option;
+  pool : Ksurf.Pool.t;
+}
+
+(* One study subcommand.  [run] is a term so that a study's own flags
+   are parsed into it.  [export] adds --export, [journalled] adds
+   --journal and --resume, [gate] adds a --smoke/--soak mode (its flag
+   and the gate to run at a seed), and [seeded = false] (Table 1, a
+   fixed configuration) drops --seed, --scale and --jobs.  [failed]
+   turns a completed study into exit 1. *)
+type study =
+  | Study : {
+      name : string;
+      doc : string;
+      run : (ctx -> 'a) Term.t;
+      pp : Format.formatter -> 'a -> unit;
+      export : (dir:string -> 'a -> string list) option;
+      journalled : bool;
+      gate : (bool Term.t * (int -> unit) Term.t) option;
+      seeded : bool;
+      failed : 'a -> bool;
+    }
+      -> study
+
+let study ?export ?(journalled = false) ?gate ?(seeded = true)
+    ?(failed = fun _ -> false) name ~doc pp run =
+  Study { name; doc; run; pp; export; journalled; gate; seeded; failed }
+
+(* The nine paper studies, in the order [all] prints them. *)
+let paper_studies =
+  [
+    study "table1" ~seeded:false
+      ~doc:"Print the VM configuration sweep (Table 1)" E.Table1.pp
+      (Term.const (fun _ -> E.Table1.run ()));
+    study "table2" ~doc:"Syscall latency breakdown (Table 2)" E.Table2.pp
+      (Term.const (fun c ->
+           E.Table2.run ~seed:c.seed ~scale:c.scale ?corpus:c.corpus
+             ~pool:c.pool ()));
+    study "fig2" ~doc:"Per-subsystem p99 vs VM count (Figure 2)" E.Fig2.pp
+      (Term.const (fun c ->
+           E.Fig2.run ~seed:c.seed ~scale:c.scale ?corpus:c.corpus
+             ~pool:c.pool ()));
+    study "table3" ~doc:"Container worst-case breakdown (Table 3)" E.Table3.pp
+      (Term.const (fun c ->
+           E.Table3.run ~seed:c.seed ~scale:c.scale ?corpus:c.corpus
+             ~pool:c.pool ()));
+    study "fig3" ~doc:"Single-node tail latency (Figure 3)" E.Fig3.pp
+      (Term.const (fun c ->
+           E.Fig3.run ~seed:c.seed ~scale:c.scale ?corpus:c.corpus
+             ~pool:c.pool ()));
+    study "fig4" ~doc:"64-node BSP runtimes (Figure 4)" E.Fig4.pp
+      (Term.const (fun c ->
+           E.Fig4.run ~seed:c.seed ~scale:c.scale ?corpus:c.corpus
+             ~pool:c.pool ()));
+    study "ablate" ~doc:"E7: variability-mechanism knockouts" E.Ablate.pp
+      (Term.const (fun c ->
+           E.Ablate.run ~seed:c.seed ~scale:c.scale ?corpus:c.corpus
+             ~pool:c.pool ()));
+    study "ablate-virt" ~doc:"E8: exit-cost sensitivity sweep" E.Ablate_virt.pp
+      (Term.const (fun c ->
+           E.Ablate_virt.run ~seed:c.seed ~scale:c.scale ?corpus:c.corpus
+             ~pool:c.pool ()));
+    study "lwvm" ~doc:"E9: lightweight-VM technology comparison" E.Lwvm.pp
+      (Term.const (fun c ->
+           E.Lwvm.run ~seed:c.seed ~scale:c.scale ?corpus:c.corpus
+             ~pool:c.pool ()));
+  ]
+
+let some_list = function [] -> None | l -> Some l
+
+(* A comma-separated flag's names, each parsed by [of_string]; an
+   unknown name exits 2 with [expected] in the message. *)
+let parse_names ~what ~expected of_string names =
+  Option.map
+    (List.map (fun s ->
+         match of_string s with
+         | Some v -> v
+         | None ->
+             Format.eprintf "unknown %s %S (%s)@." what s expected;
+             exit 2))
+    (some_list names)
+
+let list_arg elt opt_name ~docv ~doc =
+  Arg.(value & opt (list elt) [] & info [ opt_name ] ~docv ~doc)
+
+let tenancy_study =
+  let tenants =
+    list_arg Arg.int "tenants" ~docv:"N,..."
+      ~doc:"Tenant counts to sweep (default depends on --scale)."
   in
+  let churns =
+    list_arg Arg.float "churn" ~docv:"R,..."
+      ~doc:
+        "Per-tenant churn rates to sweep, in lifecycle events per tenant \
+         per virtual day (default depends on --scale)."
+  in
+  let policies =
+    list_arg Arg.string "policy" ~docv:"P,..."
+      ~doc:
+        "Placement policies to sweep: $(b,native-shared), $(b,docker), \
+         $(b,kvm), $(b,multikernel) or $(b,adaptive) (default: all)."
+  in
+  let run tenants churns policies c =
+    let policies =
+      parse_names ~what:"policy"
+        ~expected:(String.concat "|" Ksurf.Tenant_policy.names)
+        Ksurf.Tenant_policy.of_string policies
+    in
+    E.Tenancy.run ~seed:c.seed ~scale:c.scale ?tenants:(some_list tenants)
+      ?churns:(some_list churns) ?policies ?journal:c.journal ~pool:c.pool ()
+  in
+  study "tenancy" ~export:Ksurf.Export.tenancy ~journalled:true
+    ~gate:
+      ( gate_flag "smoke"
+          "Gate mode: double-run a churny adaptive fleet under the \
+           sanitizers and check the SLO accounting; exit nonzero on \
+           divergence, findings or inconsistency.",
+        Term.const tenancy_smoke )
+    ~doc:
+      "ktenant study: fleet-scale multi-tenant serving under churn and \
+       diurnal load — placement policy x tenant count x churn rate, with \
+       per-tenant p99 SLO autoscaling"
+    E.Tenancy.pp
+    Term.(const run $ tenants $ churns $ policies)
+
+let drift_study =
   let doses =
-    Arg.(
-      value
-      & opt (list float) []
-      & info [ "dose" ] ~docv:"D,..."
+    list_arg Arg.float "dose" ~docv:"D,..."
+      ~doc:
+        "Drift doses to sweep; the injected mix shift is dose x 0.25 \
+         (default: 0,1,2,3)."
+  in
+  let policies =
+    list_arg Arg.string "policy" ~docv:"P,..."
+      ~doc:
+        "Policies to sweep: $(b,static), $(b,audit) or $(b,adaptive) \
+         (default: all)."
+  in
+  let run doses policies c =
+    let policies =
+      parse_names ~what:"policy" ~expected:"static|audit|adaptive"
+        Ksurf.Driftbench.policy_of_string policies
+    in
+    E.Drift.run ~seed:c.seed ~scale:c.scale ?doses:(some_list doses)
+      ?policies ?journal:c.journal ~pool:c.pool ()
+  in
+  study "drift" ~export:Ksurf.Export.drift ~journalled:true
+    ~gate:
+      ( gate_flag "smoke"
+          "Gate mode: double-run a small adaptive driftbench cell under the \
+           sanitizers, cross-check the controller accounting against the \
+           probe stream, and assert adaptive dominates static; exit nonzero \
+           on divergence, findings or inconsistency.",
+        Term.const drift_smoke )
+    ~doc:
+      "kadapt study: online adaptive specialization under workload drift — \
+       policy x dose, tabling false-positive ENOSYS rate vs retained \
+       surface area vs time-to-reconverge"
+    E.Drift.pp
+    Term.(const run $ doses $ policies)
+
+let torture_study =
+  let doses =
+    Term.(
+      const some_list
+      $ list_arg Arg.float "dose" ~docv:"D,..."
           ~doc:
             "Fault doses to sweep; dose scales the io-mixed plan's rates \
              and ENOSPC window, 0 is the fault-free control (default: \
              0,1,2,3).")
   in
-  let paths =
-    Arg.(
-      value
-      & opt (list string) []
-      & info [ "path" ] ~docv:"P,..."
+  (* Parsed up front: a bad --path is rejected in gate mode too. *)
+  let kinds =
+    Term.(
+      const
+        (parse_names ~what:"writer path" ~expected:"journal|checkpoint|export"
+           Ksurf.Torture.kind_of_name)
+      $ list_arg Arg.string "path" ~docv:"P,..."
           ~doc:
             "Durable writer paths to torture: $(b,journal), \
              $(b,checkpoint), $(b,export) (default: all).")
   in
-  let export_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "export" ] ~docv:"DIR"
-          ~doc:"Write torture.csv into $(docv) (study mode only).")
+  let run doses kinds c =
+    let scratch =
+      E.Torture.default_scratch ^ "." ^ string_of_int (Unix.getpid ())
+    in
+    Fun.protect
+      ~finally:(fun () -> rm_rf scratch)
+      (fun () ->
+        E.Torture.run ~seed:c.seed ~scale:c.scale ?doses ?kinds ~scratch
+          ?journal:c.journal ~pool:c.pool ())
   in
-  Cmd.v
-    (Cmd.info "torture"
-       ~doc:
-         "kdur study: host-I/O fault injection and crash-consistency \
-          torture — writer path x dose, enumerating every crash state and \
-          recovering every live faulted run")
+  study "torture" ~export:Ksurf.Export.torture ~journalled:true
+    ~failed:(fun t -> E.Torture.violations t <> 0)
+    ~gate:
+      ( gate_flag "smoke"
+          "Gate mode: run the quick torture grid at 1 and 4 workers \
+           (byte-compared exports, zero tolerated violations), then \
+           journal live scenario cells under an armed fault plan with \
+           lockdep, determinism and invariant checking; exit nonzero on \
+           any violation, divergence or finding.",
+        Term.(
+          const (fun doses kinds seed -> torture_smoke ~seed ~doses ~kinds)
+          $ doses $ kinds) )
+    ~doc:
+      "kdur study: host-I/O fault injection and crash-consistency torture \
+       — writer path x dose, enumerating every crash state and recovering \
+       every live faulted run"
+    E.Torture.pp
+    Term.(const run $ doses $ kinds)
+
+let studies =
+  paper_studies
+  @ [
+      study "locks" ~doc:"E10: per-lock contention attribution" E.Locks.pp
+        (Term.const (fun c ->
+             E.Locks.run ~seed:c.seed ~scale:c.scale ~pool:c.pool ()));
+      study "dose" ~journalled:true
+        ~doc:"Dose-response: fault-intensity sensitivity sweep" E.Dose.pp
+        (Term.const (fun c ->
+             E.Dose.run ~seed:c.seed ~scale:c.scale ?journal:c.journal
+               ~pool:c.pool ()));
+      study "specialize" ~export:Ksurf.Export.specialize ~journalled:true
+        ~gate:
+          ( gate_flag "smoke"
+              "Gate mode: double-run a specialized deployment under the \
+               sanitizers; exit nonzero on denials, divergence or findings.",
+            Term.const specialize_smoke )
+        ~doc:
+          "kspec study: per-tenant specialized kernels (multikernel) vs \
+           shared native vs kvm-64 on the same fs-restricted workload"
+        E.Specialize.pp
+        (Term.const (fun c ->
+             E.Specialize.run ~seed:c.seed ~scale:c.scale ?journal:c.journal
+               ~pool:c.pool ()));
+      study "recover" ~export:Ksurf.Export.recover ~journalled:true
+        ~gate:
+          ( gate_flag "soak"
+              "Chaos gate: run every recovery policy under the crashy preset \
+               plus random crashes, then verify a killed run resumes from \
+               its checkpoint bit-identically; exit nonzero on any wedge or \
+               divergence.",
+            Term.const recover_soak )
+        ~doc:
+          "krecov study: crash rate x recovery policy on the supervised \
+           64-node BSP synthesis"
+        E.Recover.pp
+        (Term.const (fun c ->
+             E.Recover.run ~seed:c.seed ~scale:c.scale ?journal:c.journal
+               ~pool:c.pool ()));
+      tenancy_study;
+      drift_study;
+      torture_study;
+    ]
+
+(* The registry writes the shared flags, journalling, pool, timing and
+   --export listing once for every study subcommand. *)
+let study_cmd (Study s) =
+  let export =
+    match s.export with
+    | None -> Term.const None
+    | Some _ ->
+        Arg.(
+          value
+          & opt (some string) None
+          & info [ "export" ] ~docv:"DIR"
+              ~doc:
+                (Printf.sprintf "Write %s.csv into $(docv) (study mode only)."
+                   s.name))
+  in
+  let journal, resume =
+    if s.journalled then (journal_arg, resume_arg)
+    else (Term.const None, Term.const false)
+  in
+  let seed, scale, jobs =
+    if s.seeded then (seed_arg, scale_arg, jobs_arg)
+    else (Term.const 42, Term.const E.Quick, Term.const (Some 1))
+  in
+  let gating, gate =
+    Option.value s.gate ~default:(Term.const false, Term.const ignore)
+  in
+  let go seed scale export_dir journal_path resume jobs gating gate run () =
+    if gating then gate seed
+    else begin
+      let journal = journal_of journal_path resume in
+      let t =
+        with_pool jobs (fun pool ->
+            timed s.name (fun () ->
+                run { seed; scale; corpus = None; journal; pool }))
+      in
+      Format.printf "%a@." s.pp t;
+      (match (s.export, export_dir) with
+      | Some export, Some dir ->
+          List.iter (fun p -> Format.printf "wrote %s@." p) (export ~dir t)
+      | _ -> ());
+      finish_journal journal;
+      if s.failed t then exit 1
+    end
+  in
+  Cmd.v (Cmd.info s.name ~doc:s.doc)
     Term.(
-      const torture $ seed_arg $ scale_arg $ smoke $ doses $ paths
-      $ export_dir $ journal_arg $ resume_arg $ jobs_arg $ logs_term)
+      const go $ seed $ scale $ export $ journal $ resume $ jobs $ gating
+      $ gate $ s.run $ logs_term)
 
 let all_cmd =
-  experiment_cmd "all" ~doc:"Run every experiment in sequence"
-    (fun ~seed ~scale ~pool ->
-      let corpus = E.default_corpus ~seed scale in
-      Format.printf "%a@.@." E.Table1.pp (E.Table1.run ());
-      Format.printf "%a@.@." E.Table2.pp
-        (E.Table2.run ~seed ~scale ~corpus ~pool ());
-      Format.printf "%a@.@." E.Fig2.pp (E.Fig2.run ~seed ~scale ~corpus ~pool ());
-      Format.printf "%a@.@." E.Table3.pp
-        (E.Table3.run ~seed ~scale ~corpus ~pool ());
-      Format.printf "%a@.@." E.Fig3.pp (E.Fig3.run ~seed ~scale ~corpus ~pool ());
-      Format.printf "%a@.@." E.Fig4.pp (E.Fig4.run ~seed ~scale ~corpus ~pool ());
-      Format.printf "%a@.@." E.Ablate.pp
-        (E.Ablate.run ~seed ~scale ~corpus ~pool ());
-      Format.printf "%a@.@." E.Ablate_virt.pp
-        (E.Ablate_virt.run ~seed ~scale ~corpus ~pool ());
-      Format.printf "%a@." E.Lwvm.pp (E.Lwvm.run ~seed ~scale ~corpus ~pool ()))
+  let print (Study s) =
+    Term.(const (fun run c -> Format.printf "%a@." s.pp (run c)) $ s.run)
+  in
+  let prints =
+    List.fold_right
+      (fun s rest -> Term.(const List.cons $ print s $ rest))
+      paper_studies (Term.const [])
+  in
+  let go seed scale jobs prints () =
+    with_pool jobs (fun pool ->
+        timed "all" (fun () ->
+            let corpus = Some (E.default_corpus ~seed scale) in
+            List.iteri
+              (fun i print ->
+                if i > 0 then Format.printf "@.";
+                print { seed; scale; corpus; journal = None; pool })
+              prints))
+  in
+  Cmd.v
+    (Cmd.info "all" ~doc:"Run every experiment in sequence")
+    Term.(const go $ seed_arg $ scale_arg $ jobs_arg $ prints $ logs_term)
 
 let main_cmd =
   let doc =
@@ -1706,30 +1368,15 @@ let main_cmd =
      Scalability' (ICPP'19) on a simulated multicore machine"
   in
   Cmd.group (Cmd.info "ksurf" ~version:"1.0.0" ~doc)
-    [
-      gen_corpus_cmd;
-      run_corpus_cmd;
-      analyze_cmd;
-      inject_cmd;
-      specialize_cmd;
-      staticcheck_cmd;
-      dose_cmd;
-      recover_cmd;
-      tenancy_cmd;
-      drift_cmd;
-      torture_cmd;
-      table1_cmd;
-      table2_cmd;
-      fig2_cmd;
-      table3_cmd;
-      fig3_cmd;
-      fig4_cmd;
-      ablate_cmd;
-      ablate_virt_cmd;
-      lwvm_cmd;
-      locks_cmd;
-      all_cmd;
-    ]
+    ([
+       gen_corpus_cmd;
+       run_corpus_cmd;
+       analyze_cmd;
+       inject_cmd;
+       staticcheck_cmd;
+     ]
+    @ List.map study_cmd studies
+    @ [ all_cmd ])
 
 (* I/O failures (full disk, bad permissions, unwritable directory) get
    their own exit code so scripts can tell "the experiment found

@@ -57,19 +57,7 @@ let to_string = function
   | Tenancy -> "tenancy"
   | Adaptive_drift -> "adaptive-drift"
 
-let of_string = function
-  | "varbench" -> Some Varbench
-  | "tailbench" -> Some Tailbench
-  | "bsp" -> Some Bsp
-  | "inversion" -> Some Inversion
-  | "faulted-varbench" -> Some Faulted_varbench
-  | "faulted-tailbench" -> Some Faulted_tailbench
-  | "specialized-varbench" -> Some Specialized_varbench
-  | "recovered-bsp" -> Some Recovered_bsp
-  | "parallel-sweep" -> Some Parallel_sweep
-  | "tenancy" -> Some Tenancy
-  | "adaptive-drift" -> Some Adaptive_drift
-  | _ -> None
+let of_string s = List.find_opt (fun t -> to_string t = s) all
 
 (* Scenarios the sanitizers must pass on; [Inversion] is the negative
    control and is excluded on purpose.  The faulted scenarios run under
@@ -98,51 +86,52 @@ let small_corpus ~seed =
 let app () =
   match Apps.by_name "silo" with Some a -> a | None -> List.hd Apps.all
 
-let run_varbench ~seed ~on_engine =
+(* A 2-unit native deployment on a fresh engine, probes attached. *)
+let native_env ~seed ~on_engine =
   let engine = Engine.create ~seed () in
   on_engine engine;
-  let env =
-    Env.deploy ~engine Env.Native
-      (Partition.equal_split ~units:2 ~total_cores:8 ~total_mem_mb:8192)
-  in
+  Env.deploy ~engine Env.Native
+    (Partition.equal_split ~units:2 ~total_cores:8 ~total_mem_mb:8192)
+
+let varbench_params = { Harness.iterations = 4; warmup_iterations = 1 }
+
+let tailbench_config ~seed =
+  {
+    Runner.default_config with
+    Runner.requests = 250;
+    seed;
+    units = 2;
+    unit_cores = 4;
+    unit_mem_mb = 2048;
+  }
+
+let bsp_config ~seed =
+  {
+    Cluster.default_config with
+    Cluster.nodes_simulated = 1;
+    sim_iterations_per_node = 6;
+    warmup_iterations = 1;
+    requests_per_iteration = 10;
+    units = 2;
+    unit_cores = 4;
+    unit_mem_mb = 2048;
+    seed;
+  }
+
+let run_varbench ~seed ~on_engine =
+  let env = native_env ~seed ~on_engine in
   let corpus = small_corpus ~seed in
-  ignore
-    (Harness.run ~env ~corpus
-       ~params:{ Harness.iterations = 4; warmup_iterations = 1 }
-       ())
+  ignore (Harness.run ~env ~corpus ~params:varbench_params ())
 
 let run_tailbench ~seed ~on_engine =
-  let config =
-    {
-      Runner.default_config with
-      Runner.requests = 250;
-      seed;
-      units = 2;
-      unit_cores = 4;
-      unit_mem_mb = 2048;
-    }
-  in
   ignore
     (Runner.run_single_node ~app:(app ()) ~kind:Env.Native ~contended:false
-       ~config ~on_engine ())
+       ~config:(tailbench_config ~seed) ~on_engine ())
 
 let run_bsp ~seed ~on_engine =
-  let config =
-    {
-      Cluster.default_config with
-      Cluster.nodes_simulated = 1;
-      sim_iterations_per_node = 6;
-      warmup_iterations = 1;
-      requests_per_iteration = 10;
-      units = 2;
-      unit_cores = 4;
-      unit_mem_mb = 2048;
-      seed;
-    }
-  in
   ignore
-    (Cluster.run ~app:(app ()) ~kind:Env.Native ~contended:false ~config
-       ~on_engine ())
+    (Cluster.run ~app:(app ()) ~kind:Env.Native ~contended:false
+       ~config:(bsp_config ~seed) ~on_engine ())
 
 (* AB in one process, BA in another, far enough apart in virtual time
    that the run completes — the cycle is only *potential*, which is
@@ -178,38 +167,23 @@ let fault_plan () =
   | None -> assert false
 
 let run_faulted_varbench ~seed ~on_engine =
-  let engine = Engine.create ~seed () in
-  on_engine engine;
-  let env =
-    Env.deploy ~engine Env.Native
-      (Partition.equal_split ~units:2 ~total_cores:8 ~total_mem_mb:8192)
-  in
+  let env = native_env ~seed ~on_engine in
   let kf = Ksurf_fault.Kfault.arm ~env ~plan:(fault_plan ()) ~seed () in
   let corpus = small_corpus ~seed in
   ignore
-    (Harness.run ~env ~corpus
-       ~params:{ Harness.iterations = 4; warmup_iterations = 1 }
+    (Harness.run ~env ~corpus ~params:varbench_params
        ~straggler_timeout_ns:5e9 ());
   Ksurf_fault.Kfault.disarm kf
 
 let run_faulted_tailbench ~seed ~on_engine =
-  let config =
-    {
-      Runner.default_config with
-      Runner.requests = 250;
-      seed;
-      units = 2;
-      unit_cores = 4;
-      unit_mem_mb = 2048;
-    }
-  in
   let kf = ref None in
   let on_env env =
     kf := Some (Ksurf_fault.Kfault.arm ~env ~plan:(fault_plan ()) ~seed ())
   in
   ignore
     (Runner.run_single_node ~app:(app ()) ~kind:Env.Native ~contended:false
-       ~config ~request_timeout_ns:1e9 ~on_engine ~on_env ());
+       ~config:(tailbench_config ~seed) ~request_timeout_ns:1e9 ~on_engine
+       ~on_env ());
   Option.iter Ksurf_fault.Kfault.disarm !kf
 
 (* Specialized variant: varbench on an fs-restricted corpus over a
@@ -240,10 +214,7 @@ let run_specialized_varbench ~seed ~on_engine =
       (Partition.equal_split ~units:2 ~total_cores:8 ~total_mem_mb:8192)
   in
   Specializer.install_all env spec;
-  ignore
-    (Harness.run ~env ~corpus
-       ~params:{ Harness.iterations = 4; warmup_iterations = 1 }
-       ())
+  ignore (Harness.run ~env ~corpus ~params:varbench_params ())
 
 (* Recovered variant: the BSP synthesis under elastic supervision with
    the crashy plan plus random crashes, Readmit policy.  Every
@@ -254,20 +225,7 @@ let run_specialized_varbench ~seed ~on_engine =
    most once per incident. *)
 let run_recovered_bsp ~seed ~on_engine =
   let module Supervisor = Ksurf_recov.Supervisor in
-  let config =
-    {
-      Cluster.default_config with
-      Cluster.nodes_simulated = 1;
-      iterations = 8;
-      sim_iterations_per_node = 6;
-      warmup_iterations = 1;
-      requests_per_iteration = 10;
-      units = 2;
-      unit_cores = 4;
-      unit_mem_mb = 2048;
-      seed;
-    }
-  in
+  let config = { (bsp_config ~seed) with Cluster.iterations = 8 } in
   let recovery =
     {
       Supervisor.default_config with
@@ -294,11 +252,9 @@ let run_parallel_sweep ~seed ~on_engine =
   let module Journal = Ksurf_recov.Journal in
   let cell ~observe i =
     let cell_seed = seed + (31 * i) in
-    let engine = Engine.create ~seed:cell_seed () in
-    if observe then on_engine engine;
     let env =
-      Env.deploy ~engine Env.Native
-        (Partition.equal_split ~units:2 ~total_cores:8 ~total_mem_mb:8192)
+      native_env ~seed:cell_seed
+        ~on_engine:(if observe then on_engine else ignore)
     in
     let corpus = small_corpus ~seed:cell_seed in
     ignore
@@ -362,21 +318,25 @@ let run_tenancy ~seed ~on_engine =
    through [Env.swap_policy]'s probe-visible transitions.  The
    invariant analyzer's policy-protocol checks then assert the
    controller choreography itself: legal audit/enforce edges only, no
-   discontinuous policy states, each swap ordinal used once. *)
-let run_adaptive_drift ~seed ~on_engine =
+   discontinuous policy states, each swap ordinal used once.  The same
+   cell is the [drift --smoke] gate's. *)
+let drift_cell ~policy ~seed =
   let module Driftbench = Ksurf_adapt.Driftbench in
+  {
+    Driftbench.default_config with
+    Driftbench.policy;
+    dose = 2.0;
+    epochs = 24;
+    programs_per_epoch = 12;
+    corpus_programs = 16;
+    drift_at_ns = 8_000_000.0;
+    seed;
+  }
+
+let run_adaptive_drift ~seed ~on_engine =
   ignore
-    (Driftbench.run ~on_engine
-       {
-         Driftbench.default_config with
-         Driftbench.policy = Driftbench.Adaptive;
-         dose = 2.0;
-         epochs = 24;
-         programs_per_epoch = 12;
-         corpus_programs = 16;
-         drift_at_ns = 8_000_000.0;
-         seed;
-       })
+    (Ksurf_adapt.Driftbench.run ~on_engine
+       (drift_cell ~policy:Ksurf_adapt.Driftbench.Adaptive ~seed))
 
 let run t ~seed ~on_engine =
   match t with

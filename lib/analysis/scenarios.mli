@@ -50,6 +50,14 @@ val stock : t list
 val to_string : t -> string
 val of_string : string -> t option
 
+val drift_cell :
+  policy:Ksurf_adapt.Driftbench.policy ->
+  seed:int ->
+  Ksurf_adapt.Driftbench.config
+(** The [Adaptive_drift] cell (dose 2.0, 24 epochs, 12 programs per
+    epoch, 16 corpus programs, drift at 8e6 ns) under [policy]; the
+    [drift --smoke] gate runs it too. *)
+
 val run : t -> seed:int -> on_engine:(Ksurf_sim.Engine.t -> unit) -> unit
 (** Execute one scenario run.  [on_engine] is called on every engine
     the scenario creates, before anything is spawned on it — attach

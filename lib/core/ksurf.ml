@@ -38,7 +38,6 @@ module Stable_hash = Ksurf_util.Stable_hash
 
 module Quantile = Ksurf_stats.Quantile
 module Buckets = Ksurf_stats.Buckets
-module Histogram = Ksurf_stats.Histogram
 module Kde = Ksurf_stats.Kde
 module Violin = Ksurf_stats.Violin
 module P2_quantile = Ksurf_stats.P2_quantile
@@ -50,7 +49,6 @@ module Rwlock = Ksurf_sim.Rwlock
 module Resource = Ksurf_sim.Resource
 module Barrier = Ksurf_sim.Barrier
 module Mailbox = Ksurf_sim.Mailbox
-module Trace = Ksurf_sim.Trace
 
 module Category = Ksurf_kernel.Category
 module Kernel_config = Ksurf_kernel.Config
@@ -87,7 +85,6 @@ module Specializer = Ksurf_spec.Specializer
 module Adapt = Ksurf_adapt.Controller
 module Driftbench = Ksurf_adapt.Driftbench
 
-module Samples = Ksurf_varbench.Samples
 module Harness = Ksurf_varbench.Harness
 module Study = Ksurf_varbench.Study
 module Noise = Ksurf_varbench.Noise

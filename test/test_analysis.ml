@@ -126,9 +126,7 @@ let test_stock_scenarios_clean () =
     (fun scenario ->
       List.iter
         (fun seed ->
-          let outcome =
-            Sanitizer.run ~scenario ~seed ~checks:Sanitizer.all_checks ()
-          in
+          let outcome = Sanitizer.check (Scenarios.run scenario ~seed) in
           Alcotest.(check (list string))
             (Printf.sprintf "%s seed=%d clean"
                (Scenarios.to_string scenario)
@@ -137,16 +135,13 @@ let test_stock_scenarios_clean () =
             (codes outcome.Sanitizer.findings);
           Alcotest.(check bool) "probes saw traffic" true
             (outcome.Sanitizer.events > 0);
-          Alcotest.(check int) "static run + determinism double-run" 3
+          Alcotest.(check int) "two runs: static checks ride the first" 2
             outcome.Sanitizer.runs)
         [ 42; 7 ])
     Scenarios.stock
 
 let test_inversion_scenario_flagged () =
-  let outcome =
-    Sanitizer.run ~scenario:Scenarios.Inversion ~seed:42
-      ~checks:Sanitizer.all_checks ()
-  in
+  let outcome = Sanitizer.check (Scenarios.run Scenarios.Inversion ~seed:42) in
   let cycle_codes =
     List.filter (fun c -> c = "lock-order-cycle")
       (codes outcome.Sanitizer.findings)
@@ -154,6 +149,31 @@ let test_inversion_scenario_flagged () =
   Alcotest.(check int) "exactly one cycle" 1 (List.length cycle_codes);
   Alcotest.(check bool) "errors present" true
     (Finding.errors outcome.Sanitizer.findings <> [])
+
+(* A workload that raises on its [n]th execution, after a clean engine
+   run: the harness must turn that into a crash finding, not raise. *)
+let raising_on n =
+  let calls = ref 0 in
+  fun ~on_engine ->
+    incr calls;
+    let engine = Engine.create ~seed:3 () in
+    on_engine engine;
+    Engine.spawn engine (fun () -> Engine.delay 1.0);
+    Engine.run engine;
+    if !calls = n then failwith "boom"
+
+let test_crash_becomes_finding () =
+  List.iter
+    (fun n ->
+      let outcome = Sanitizer.check (raising_on n) in
+      let label = Printf.sprintf "raise on run %d" n in
+      Alcotest.(check (list string)) label [ "crash" ]
+        (List.map (fun (f : Finding.t) -> f.Finding.check)
+           outcome.Sanitizer.findings);
+      Alcotest.(check int) (label ^ ": runs") n outcome.Sanitizer.runs;
+      Alcotest.(check bool) (label ^ ": no result") true
+        (outcome.Sanitizer.result = None))
+    [ 1; 2 ]
 
 let test_finding_sort_and_csv () =
   let w = Finding.make ~severity:Finding.Warning ~check:"b" ~code:"w"
@@ -206,5 +226,7 @@ let suite =
     Alcotest.test_case "stock scenarios clean" `Slow test_stock_scenarios_clean;
     Alcotest.test_case "inversion flagged" `Quick
       test_inversion_scenario_flagged;
+    Alcotest.test_case "crash becomes a finding" `Quick
+      test_crash_becomes_finding;
     Alcotest.test_case "finding sort and csv" `Quick test_finding_sort_and_csv;
   ]

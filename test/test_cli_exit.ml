@@ -41,6 +41,8 @@ let test_bad_args_exit_2 () =
       ("torture bad path", "torture --path bogus");
       ("analyze bad scenario", "analyze --scenario bogus");
       ("drift bad policy", "drift --policy bogus --dose 0");
+      ("inject bad env", "inject --env bogus");
+      ("run-corpus bad env", "run-corpus missing.corpus --env bogus");
     ]
 
 let test_success_exits_0 () =

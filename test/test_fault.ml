@@ -239,9 +239,7 @@ let test_different_seed_differs () =
 let test_faulted_scenarios_clean () =
   List.iter
     (fun scenario ->
-      let outcome =
-        Sanitizer.run ~scenario ~seed:13 ~checks:Sanitizer.all_checks ()
-      in
+      let outcome = Sanitizer.check (Scenarios.run scenario ~seed:13) in
       Alcotest.(check (list string))
         (Scenarios.to_string scenario ^ " clean")
         []

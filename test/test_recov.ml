@@ -587,9 +587,7 @@ let test_recover_study_and_journal () =
 let test_recovered_bsp_scenario_clean () =
   let module A = Ksurf_analysis in
   let outcome =
-    A.Sanitizer.run ~scenario:A.Scenarios.Recovered_bsp ~seed:42
-      ~checks:[ A.Sanitizer.Lockdep; A.Sanitizer.Determinism; A.Sanitizer.Invariants ]
-      ()
+    A.Sanitizer.check (A.Scenarios.run A.Scenarios.Recovered_bsp ~seed:42)
   in
   Alcotest.(check int) "no findings" 0
     (List.length outcome.A.Sanitizer.findings)

@@ -13,26 +13,6 @@ let tiny_env ?(kind = Env.Native) ?(units = 1) () =
   let engine = Engine.create ~seed:11 () in
   (engine, Env.deploy ~engine ~kernel_config:quiet kind (Partition.table1 units))
 
-(* --- samples ----------------------------------------------------------- *)
-
-let test_samples_grow () =
-  let s = Samples.create () in
-  for i = 1 to 200 do
-    Samples.add s (float_of_int i)
-  done;
-  Alcotest.(check int) "count" 200 (Samples.count s);
-  let arr = Samples.to_array s in
-  Alcotest.(check int) "array length" 200 (Array.length arr);
-  Alcotest.(check (float 1e-9)) "order preserved" 1.0 arr.(0);
-  Alcotest.(check (float 1e-9)) "last" 200.0 arr.(199)
-
-let test_samples_iter () =
-  let s = Samples.create () in
-  List.iter (Samples.add s) [ 1.0; 2.0; 3.0 ];
-  let total = ref 0.0 in
-  Samples.iter s (fun v -> total := !total +. v);
-  Alcotest.(check (float 1e-9)) "iter sums" 6.0 !total
-
 (* --- harness ----------------------------------------------------------- *)
 
 let run_tiny () =
@@ -158,8 +138,6 @@ let test_noise_think_time_slows () =
 
 let suite =
   [
-    Alcotest.test_case "samples grow" `Quick test_samples_grow;
-    Alcotest.test_case "samples iter" `Quick test_samples_iter;
     Alcotest.test_case "site count" `Quick test_harness_site_count;
     Alcotest.test_case "sample counts" `Quick test_harness_sample_counts;
     Alcotest.test_case "latencies positive" `Quick test_harness_latencies_positive;
