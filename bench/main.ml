@@ -1,16 +1,12 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper (at Full scale) and micro-benchmarks the simulator core with
-   Bechamel.
+(* Benchmarks of the simulator itself.  The paper studies are run by
+   [ksurf_cli <study> --scale full] and [ksurf_cli all --scale full].
 
-     dune exec bench/main.exe            # everything
-     dune exec bench/main.exe table2     # one experiment
-     dune exec bench/main.exe micro      # microbenchmarks only
-     dune exec bench/main.exe sweep quick  # kpar throughput scan
+     dune exec bench/main.exe micro          # microbenchmarks + BENCH_engine.json
+     dune exec bench/main.exe sweep quick    # kpar throughput scan, BENCH_kpar.json
+     dune exec bench/main.exe tenancy full   # ktenant memory flatness
 
-   A second argument "quick" switches the experiments to the fast
-   smoke-scale used by tests; "--jobs N" sets the sweep worker count
-   (default: KSURF_JOBS or the machine's recommended domain count
-   minus one). *)
+   "quick" or "full" sets the scale (default full); "--gate-speedup X"
+   fails the sweep if jobs=4 scales below X. *)
 
 module E = Ksurf.Experiments
 
@@ -21,63 +17,6 @@ let timed name f =
   let r = f () in
   Format.printf "@.[%s took %.1fs]@.@." name (Ksurf.Clock.elapsed_s ~since:t0);
   r
-
-(* ------------------------------------------------------------------ *)
-(* Experiment harnesses: one per table/figure.                         *)
-
-let table1 ~seed:_ ~scale:_ ~corpus:_ ~pool:_ =
-  Format.printf "%a@." E.Table1.pp (E.Table1.run ())
-
-let table2 ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Table2.pp (E.Table2.run ~seed ~scale ~corpus ~pool ())
-
-let fig2 ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Fig2.pp (E.Fig2.run ~seed ~scale ~corpus ~pool ())
-
-let table3 ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Table3.pp (E.Table3.run ~seed ~scale ~corpus ~pool ())
-
-let fig3 ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Fig3.pp (E.Fig3.run ~seed ~scale ~corpus ~pool ())
-
-let fig4 ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Fig4.pp (E.Fig4.run ~seed ~scale ~corpus ~pool ())
-
-let ablate ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Ablate.pp (E.Ablate.run ~seed ~scale ~corpus ~pool ())
-
-let locks ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Locks.pp (E.Locks.run ~seed ~scale ~corpus ~pool ())
-
-let lwvm ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Lwvm.pp (E.Lwvm.run ~seed ~scale ~corpus ~pool ())
-
-let ablate_virt ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Ablate_virt.pp
-    (E.Ablate_virt.run ~seed ~scale ~corpus ~pool ())
-
-let dose ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Dose.pp (E.Dose.run ~seed ~scale ~corpus ~pool ())
-
-let specialize ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Specialize.pp
-    (E.Specialize.run ~seed ~scale ~corpus ~pool ())
-
-let experiments =
-  [
-    ("table1", table1);
-    ("table2", table2);
-    ("fig2", fig2);
-    ("table3", table3);
-    ("fig3", fig3);
-    ("fig4", fig4);
-    ("ablate", ablate);
-    ("ablate-virt", ablate_virt);
-    ("lwvm", lwvm);
-    ("locks", locks);
-    ("dose", dose);
-    ("specialize", specialize);
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* kpar throughput scan: the dose sweep at increasing worker counts.   *)
@@ -627,27 +566,7 @@ let run_micro () =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let scale =
-    if List.mem "quick" args then E.Quick
-    else if List.mem "full" args then E.Full
-    else E.Full
-  in
-  (* "--jobs N": worker domains for the experiment sweeps. *)
-  let rec parse_jobs = function
-    | [] -> (None, [])
-    | ("--jobs" | "-j") :: n :: rest ->
-        let _, kept = parse_jobs rest in
-        (Some (max 1 (int_of_string n)), kept)
-    | a :: rest when String.length a > 7 && String.sub a 0 7 = "--jobs=" ->
-        let _, kept = parse_jobs rest in
-        let n = String.sub a 7 (String.length a - 7) in
-        (Some (max 1 (int_of_string n)), kept)
-    | a :: rest ->
-        let jobs, kept = parse_jobs rest in
-        (jobs, a :: kept)
-  in
-  let jobs, args = parse_jobs args in
-  (* "--gate-speedup X": fail the sweep if jobs=4 scales below X. *)
+  let scale = if List.mem "quick" args then E.Quick else E.Full in
   let rec parse_gate = function
     | [] -> (None, [])
     | "--gate-speedup" :: x :: rest ->
@@ -658,25 +577,24 @@ let () =
         (gate, a :: kept)
   in
   let gate_speedup, args = parse_gate args in
-  let selected = List.filter (fun a -> a <> "quick" && a <> "full") args in
   let seed = 42 in
-  let wants name = selected = [] || List.mem name selected in
-  let wants_exp name = wants name || List.mem "all" selected in
-  let any_experiment =
-    List.exists (fun (name, _) -> wants_exp name) experiments
+  let commands =
+    [
+      ("sweep", fun () -> run_sweep ~seed ~scale ~gate_speedup);
+      ("tenancy", fun () -> run_tenancy ~seed ~scale);
+      ("micro", run_micro);
+    ]
   in
-  if any_experiment then
-    Ksurf.Pool.with_pool ~jobs:(Ksurf.Pool.resolve_jobs ?cli:jobs ()) (fun pool ->
-        let corpus =
-          timed "corpus generation" (fun () -> E.default_corpus ~seed scale)
-        in
-        List.iter
-          (fun (name, run) ->
-            if wants_exp name then
-              timed name (fun () -> run ~seed ~scale ~corpus ~pool))
-          experiments);
-  if List.mem "sweep" selected then
-    timed "sweep" (fun () -> run_sweep ~seed ~scale ~gate_speedup);
-  if List.mem "tenancy" selected then
-    timed "tenancy" (fun () -> run_tenancy ~seed ~scale);
-  if wants "micro" then timed "micro" run_micro
+  match List.filter (fun a -> a <> "quick" && a <> "full") args with
+  | [] ->
+      prerr_endline "usage: main.exe (sweep|tenancy|micro)... [quick|full]";
+      exit 2
+  | selected ->
+      List.iter
+        (fun name ->
+          match List.assoc_opt name commands with
+          | Some run -> timed name run
+          | None ->
+              Format.eprintf "unknown bench %S (sweep|tenancy|micro)@." name;
+              exit 2)
+        selected

@@ -49,9 +49,9 @@ let jobs_arg =
      minus one."
   in
   (* No cmdliner ~env here on purpose: cmdliner would refuse a
-     malformed KSURF_JOBS with a hard CLI error, whereas the shared
-     precedence rule (Pool.resolve_jobs) warns on stderr and degrades
-     to the machine default — same behaviour as bench/main.exe. *)
+     malformed KSURF_JOBS with a hard CLI error, whereas the precedence
+     rule (Pool.resolve_jobs) warns on stderr and degrades to the
+     machine default. *)
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 (* Pool.resolve_jobs owns the precedence rule: the flag when given,
@@ -151,19 +151,6 @@ let gen_corpus_cmd =
     Term.(const gen_corpus $ seed_arg $ scale_arg $ calls $ output $ logs_term)
 
 
-(* A tiny corpus of [programs] coverage-guided programs: the gates'
-   workload size. *)
-let gate_corpus ~seed programs =
-  (Ksurf.Generator.run
-     ~params:
-       {
-         Ksurf.Generator.default_params with
-         Ksurf.Generator.seed;
-         target_programs = programs;
-       }
-     ())
-    .Ksurf.Generator.corpus
-
 (* --- environments ----------------------------------------------------- *)
 
 let environments =
@@ -253,8 +240,9 @@ let run_corpus_cmd =
 (* --- analyze ---------------------------------------------------------- *)
 
 (* Sanitizer suite: lockdep lock-order validation, determinism replay,
-   and engine invariant checks over a stock scenario.  Exits 1 on any
-   finding so it can gate CI. *)
+   engine invariant checks and the scenario's own accounting over a
+   stock scenario.  Exits 1 on any finding, so every scenario is a
+   gate. *)
 let analyze seed scenario checks csv () =
   match A.Scenarios.of_string scenario with
   | None ->
@@ -273,11 +261,12 @@ let analyze seed scenario checks csv () =
       | Ok selected ->
           let outcome =
             timed "analyze" (fun () ->
-                A.Sanitizer.check ~checks:selected (A.Scenarios.run sc ~seed))
+                A.Sanitizer.scenario ~checks:selected sc ~seed)
           in
-          Format.printf "%a@."
-            (A.Sanitizer.pp_outcome ~scenario:sc ~seed)
-            outcome;
+          let label =
+            Printf.sprintf "analyze %s seed=%d" (A.Scenarios.to_string sc) seed
+          in
+          Format.printf "%a@." (A.Sanitizer.pp_outcome ~label) outcome;
           (match csv with
           | None -> ()
           | Some path ->
@@ -324,46 +313,13 @@ let analyze_cmd =
           stock scenario; exit nonzero on any finding")
     Term.(const analyze $ seed_arg $ scenario $ checks $ csv $ logs_term)
 
-(* --- sanitizer gates -------------------------------------------------- *)
-
-(* The shared tail of every gate: the replay line, the gate's own
-   accounting failures, the sanitizer findings, then exit 1 or the
-   gate's all-clear line. *)
-let gate_verdict ?(failures = []) ~clean o =
-  Option.iter
-    (fun d -> Format.printf "  %a@." A.Sanitizer.pp_replay d)
-    o.A.Sanitizer.replay;
-  List.iter (fun m -> Format.printf "  FAIL: %s@." m) failures;
-  List.iter
-    (fun f -> Format.printf "  %a@." A.Finding.pp f)
-    o.A.Sanitizer.findings;
-  if failures <> [] || o.A.Sanitizer.findings <> [] then exit 1;
-  Format.printf "  no findings: %s@." clean
-
-(* Every --smoke gate runs its workload through the one sanitizer
-   harness: two runs, lockdep + invariants on the first, determinism
-   across both.  A crash on either run leaves no result to account
-   for; it is a finding, so the verdict exits 1 at once. *)
-let sanitized name workload =
-  let o = timed name (fun () -> A.Sanitizer.check workload) in
-  match o.A.Sanitizer.result with
-  | Some r -> (o, r)
-  | None ->
-      gate_verdict o ~clean:"";
-      exit 1
-
-(* An accounting check: [Some message] when it fails. *)
-let bad fmt = Format.kasprintf Option.some fmt
-
-let gate_flag name doc = Arg.(value & flag & info [ name ] ~doc)
-
 (* --- inject ----------------------------------------------------------- *)
 
 (* Fault-injection driver: arm a kfault plan over a varbench deployment
-   under the sanitizer harness and report the injection counters and
-   the replay hashes.  Exits 1 on any finding or hash divergence — the
-   [--smoke] form is the `make check` gate. *)
-let inject seed plan_name env_name units intensity smoke () =
+   under the sanitizer harness, report the injection counters, then the
+   outcome as [analyze] prints it.  Exits 1 on any finding or hash
+   divergence. *)
+let inject seed plan_name env_name units intensity () =
   let plan =
     match Ksurf.Fault_plan.preset plan_name with
     | Some p -> p
@@ -380,44 +336,47 @@ let inject seed plan_name env_name units intensity smoke () =
   let plan =
     if intensity = 1.0 then plan else Ksurf.Fault_plan.scale intensity plan
   in
-  let corpus =
-    if smoke then gate_corpus ~seed 4 else E.default_corpus ~seed E.Quick
+  let corpus = E.default_corpus ~seed E.Quick in
+  let params = { Ksurf.Harness.iterations = 6; warmup_iterations = 1 } in
+  let o =
+    timed "inject" (fun () ->
+        A.Sanitizer.check (fun ~on_engine ->
+            let engine = Ksurf.Engine.create ~seed () in
+            on_engine engine;
+            let env =
+              Ksurf.Env.deploy ~engine kind (Ksurf.Partition.table1 units)
+            in
+            let kf = Ksurf.Kfault.arm ~env ~plan ~seed () in
+            let result =
+              Ksurf.Harness.run ~env ~corpus ~params ~straggler_timeout_ns:5e9
+                ()
+            in
+            Ksurf.Kfault.disarm kf;
+            (result, Ksurf.Kfault.stats kf, Ksurf.Kfault.total_injections kf)))
   in
-  let params =
-    if smoke then { Ksurf.Harness.iterations = 2; warmup_iterations = 1 }
-    else { Ksurf.Harness.iterations = 6; warmup_iterations = 1 }
+  Option.iter
+    (fun (result, stats, injections) ->
+      Format.printf
+        "%d sites, %d invocations, %s of virtual time, %d injections@."
+        (Array.length result.Ksurf.Harness.sites)
+        (Ksurf.Harness.total_invocations result)
+        (Ksurf.Report.duration_ns result.Ksurf.Harness.wall_time_ns)
+        injections;
+      Format.printf "%a@." Ksurf.Kfault.pp_stats stats;
+      Format.printf "harness: %d retries, %d abandoned, %s@."
+        result.Ksurf.Harness.transient_retries
+        result.Ksurf.Harness.abandoned_calls
+        (if result.Ksurf.Harness.degraded then
+           Printf.sprintf "DEGRADED (%d/%d ranks survived)"
+             result.Ksurf.Harness.survivors result.Ksurf.Harness.ranks
+         else "all ranks survived"))
+    o.A.Sanitizer.result;
+  let label =
+    Printf.sprintf "inject plan=%s dose=%.2f env=%s units=%d seed=%d"
+      plan.Ksurf.Fault_plan.name intensity env_name units seed
   in
-  let o, (result, stats, injections) =
-    sanitized "inject" (fun ~on_engine ->
-        let engine = Ksurf.Engine.create ~seed () in
-        on_engine engine;
-        let env =
-          Ksurf.Env.deploy ~engine kind (Ksurf.Partition.table1 units)
-        in
-        let kf = Ksurf.Kfault.arm ~env ~plan ~seed () in
-        let result =
-          Ksurf.Harness.run ~env ~corpus ~params ~straggler_timeout_ns:5e9 ()
-        in
-        Ksurf.Kfault.disarm kf;
-        (result, Ksurf.Kfault.stats kf, Ksurf.Kfault.total_injections kf))
-  in
-  Format.printf "inject plan=%s dose=%.2f env=%s units=%d seed=%d@."
-    plan.Ksurf.Fault_plan.name intensity env_name units seed;
-  Format.printf
-    "  %d sites, %d invocations, %s of virtual time, %d injections@."
-    (Array.length result.Ksurf.Harness.sites)
-    (Ksurf.Harness.total_invocations result)
-    (Ksurf.Report.duration_ns result.Ksurf.Harness.wall_time_ns)
-    injections;
-  Format.printf "  %a@." Ksurf.Kfault.pp_stats stats;
-  Format.printf "  harness: %d retries, %d abandoned, %s@."
-    result.Ksurf.Harness.transient_retries
-    result.Ksurf.Harness.abandoned_calls
-    (if result.Ksurf.Harness.degraded then
-       Printf.sprintf "DEGRADED (%d/%d ranks survived)"
-         result.Ksurf.Harness.survivors result.Ksurf.Harness.ranks
-     else "all ranks survived");
-  gate_verdict o ~clean:"faulted run is deterministic and clean"
+  Format.printf "%a@." (A.Sanitizer.pp_outcome ~label) o;
+  if o.A.Sanitizer.findings <> [] then exit 1
 
 let inject_cmd =
   let plan =
@@ -434,10 +393,6 @@ let inject_cmd =
       & info [ "intensity" ] ~docv:"K"
           ~doc:"Scale the plan's dose by $(docv) (see Fault_plan.scale).")
   in
-  let smoke =
-    gate_flag "smoke"
-      "Tiny corpus and iteration count: the CI gate configuration."
-  in
   Cmd.v
     (Cmd.info "inject"
        ~doc:
@@ -445,7 +400,7 @@ let inject_cmd =
           injections replay bit-identically and pass lockdep/invariants; \
           exit nonzero on any finding")
     Term.(
-      const inject $ seed_arg $ plan $ env_arg $ units_arg 2 $ intensity $ smoke
+      const inject $ seed_arg $ plan $ env_arg $ units_arg 2 $ intensity
       $ logs_term)
 
 (* --- staticcheck ------------------------------------------------------ *)
@@ -557,317 +512,6 @@ let staticcheck_cmd =
       $ spec_workload $ csv_dir $ logs_term)
 
 
-(* --- gates -------------------------------------------------------------- *)
-
-(* kspec gate for `make check`: the specialized deployment under the
-   sanitizer harness.  A policy denial (the allowlist matches the
-   corpus, so any denial is a wiring bug), a replay divergence or any
-   sanitizer finding exits nonzero. *)
-let specialize_smoke seed =
-  let corpus =
-    let full = gate_corpus ~seed 8 in
-    match Ksurf.Profile.restrict full ~keep:E.Specialize.retained with
-    | Some c -> c
-    | None -> full
-  in
-  let spec =
-    Ksurf.Specializer.compile
-      (Ksurf.Profile.of_corpus ~name:"specialize-smoke" corpus)
-  in
-  let params = { Ksurf.Harness.iterations = 2; warmup_iterations = 1 } in
-  let o, (result, denials) =
-    sanitized "specialize" (fun ~on_engine ->
-        let engine = Ksurf.Engine.create ~seed () in
-        on_engine engine;
-        let env =
-          Ksurf.Env.deploy ~engine
-            ~kernel_config:(Ksurf.Specializer.kernel_config spec)
-            Ksurf.Env.Multikernel
-            (Ksurf.Partition.equal_split ~units:2 ~total_cores:8
-               ~total_mem_mb:8192)
-        in
-        Ksurf.Specializer.install_all env spec;
-        let result = Ksurf.Harness.run ~env ~corpus ~params () in
-        let denials = ref 0 in
-        for rank = 0 to Ksurf.Env.rank_count env - 1 do
-          denials := !denials + Ksurf.Specializer.denials env ~rank
-        done;
-        (result, !denials))
-  in
-  Format.printf "specialize smoke seed=%d@." seed;
-  Format.printf "  %a@." Ksurf.Kspec.pp spec;
-  Format.printf "  %d sites, %d invocations, %s of virtual time@."
-    (Array.length result.Ksurf.Harness.sites)
-    (Ksurf.Harness.total_invocations result)
-    (Ksurf.Report.duration_ns result.Ksurf.Harness.wall_time_ns);
-  let failures =
-    Option.to_list
-      (if denials > 0 then
-         bad
-           "%d policy denials (%d dropped by the harness) — the allowlist \
-            must cover its own profile"
-           denials result.Ksurf.Harness.denied_calls
-       else None)
-  in
-  gate_verdict o ~failures
-    ~clean:"specialized run is deterministic, clean, zero denials"
-
-(* krecov chaos gate for `make check`/CI: every policy must survive the
-   "crashy" preset plus random crashes without wedging, and a run
-   killed mid-sweep must resume from its checkpoint bit-identically. *)
-let recover_soak seed =
-  let module S = Ksurf.Supervisor in
-  let corpus = gate_corpus ~seed 4 in
-  let cconfig =
-    {
-      Ksurf.Cluster.default_config with
-      Ksurf.Cluster.nodes_simulated = 1;
-      sim_iterations_per_node = 8;
-      warmup_iterations = 1;
-      requests_per_iteration = 8;
-      seed;
-    }
-  in
-  let app =
-    match Ksurf.Apps.by_name "silo" with
-    | Some a -> a
-    | None -> List.hd Ksurf.Apps.all
-  in
-  let kind = Ksurf.Env.Kvm Ksurf.Virt_config.default in
-  let pool =
-    Ksurf.Cluster.pool ~app ~kind ~contended:false ~config:cconfig
-      ~noise_corpus:corpus ()
-  in
-  let plan =
-    match Ksurf.Fault_plan.preset "crashy" with
-    | Some p -> p
-    | None -> assert false
-  in
-  let base =
-    {
-      S.default_config with
-      S.nodes = cconfig.Ksurf.Cluster.nodes_total;
-      iterations = 10;
-      barrier_cost_ns =
-        Ksurf.Cluster.barrier_cost_for ~kind
-          ~nodes_total:cconfig.Ksurf.Cluster.nodes_total;
-      crash_rate = 0.02;
-      seed;
-    }
-  in
-  Format.printf "recover soak seed=%d: crashy preset + 2%% random crashes@."
-    seed;
-  let failed = ref false in
-  List.iter
-    (fun policy ->
-      let o =
-        timed (S.policy_name policy) (fun () ->
-            S.run ~pool ~plan ~config:{ base with S.policy } ())
-      in
-      let ok = o.S.supersteps = base.S.iterations in
-      if not ok then failed := true;
-      Format.printf
-        "  %-11s %d/%d supersteps, %.3fs, %d crashes, %d restarts, %d \
-         backups, %d deaths, %d transitions — %s@."
-        o.S.policy o.S.supersteps base.S.iterations (o.S.runtime_ns /. 1e9)
-        o.S.crashes o.S.restarts o.S.backups o.S.deaths o.S.transitions
-        (if ok then "ok" else "WEDGED"))
-    [ S.Survivors; S.Readmit; S.Speculative ];
-  (* Kill-and-resume round-trip: a run killed after 3 supersteps and
-     resumed from its checkpoint must finish bit-identically to the
-     uninterrupted run. *)
-  let ckpt = Filename.temp_file "ksurf-soak" ".ckpt" in
-  Sys.remove ckpt;
-  let config =
-    {
-      base with
-      S.policy = S.Readmit;
-      checkpoint_interval = 2;
-      checkpoint_path = Some ckpt;
-    }
-  in
-  let full = S.run ~pool ~plan ~config () in
-  Sys.remove ckpt;
-  ignore (S.run ~pool ~plan ~config ~kill_after:3 ());
-  let resumed = S.run ~pool ~plan ~config ~resume_from:ckpt () in
-  if Sys.file_exists ckpt then Sys.remove ckpt;
-  let identical =
-    full.S.runtime_ns = resumed.S.runtime_ns
-    && full.S.crashes = resumed.S.crashes
-    && full.S.restarts = resumed.S.restarts
-    && full.S.transitions = resumed.S.transitions
-    && full.S.supersteps = resumed.S.supersteps
-  in
-  if not identical then failed := true;
-  Format.printf
-    "  kill-and-resume: %.0f vs %.0f ns, %d vs %d transitions (resumed \
-     from superstep %d) — %s@."
-    full.S.runtime_ns resumed.S.runtime_ns full.S.transitions
-    resumed.S.transitions resumed.S.resumed_from
-    (if identical then "identical" else "DIVERGENT");
-  if !failed then exit 1;
-  Format.printf "  soak clean: every policy completed, resume is exact@."
-
-(* ktenant gate for `make check`: a small churny adaptive fleet under the
-   sanitizer harness, then the SLO accounting sanity-checked; any replay
-   divergence, sanitizer finding or accounting inconsistency exits
-   nonzero. *)
-let tenancy_smoke seed =
-  let module F = Ksurf.Fleet in
-  let module P = Ksurf.Tenant_policy in
-  let cfg =
-    {
-      F.default_config with
-      F.tenants = 24;
-      churn_per_day = 16.0;
-      policy = P.Adaptive;
-      seed;
-      host_cores = 16;
-      day_ns = 4e8;
-      days = 1.0;
-      mean_rate_per_s = 40.0;
-      epoch_ns = 5e7;
-    }
-  in
-  let o, r = sanitized "tenancy" (fun ~on_engine -> F.run ~on_engine cfg) in
-  Format.printf "tenancy smoke seed=%d: %d tenants, churn %.0f/day, %s@."
-    seed cfg.F.tenants cfg.F.churn_per_day (P.name cfg.F.policy);
-  Format.printf
-    "  %d requests, %d arrivals, %d departures, %d cgroup storms \
-     (%d create / %d destroy, peak %d live), %d migrations@."
-    r.F.completed r.F.arrivals r.F.departures
-    (r.F.cgroup_creates + r.F.cgroup_destroys)
-    r.F.cgroup_creates r.F.cgroup_destroys r.F.peak_cgroups r.F.migrations;
-  (* SLO accounting must be internally consistent whatever the
-     latencies came out to. *)
-  let accounting =
-    List.filter_map Fun.id
-      [
-        (if r.F.completed <= 0 then bad "no requests completed" else None);
-        (if r.F.attainment < 0.0 || r.F.attainment > 1.0 then
-           bad "attainment %.3f outside [0,1]" r.F.attainment
-         else None);
-        (if r.F.slo_met > r.F.measured then
-           bad "slo_met %d > measured %d" r.F.slo_met r.F.measured
-         else None);
-        (if r.F.measured > cfg.F.tenants + r.F.arrivals then
-           bad "measured %d exceeds tenants ever admitted" r.F.measured
-         else None);
-        (if r.F.cgroup_destroys > r.F.cgroup_creates then
-           bad "cgroup destroys %d > creates %d" r.F.cgroup_destroys
-             r.F.cgroup_creates
-         else None);
-        (if r.F.replica_imbalance <> 0 then
-           bad "replica imbalance %d: live replicas diverged from \
-                autoscaler targets"
-             r.F.replica_imbalance
-         else None);
-        (if r.F.departures > r.F.arrivals + cfg.F.tenants then
-           bad "departures %d exceed population" r.F.departures
-         else None);
-      ]
-  in
-  gate_verdict o ~failures:accounting
-    ~clean:"churny fleet is deterministic, clean, accounting consistent"
-
-(* kadapt gate for `make check`: the [adaptive-drift] scenario's cell
-   under the sanitizer harness, every policy hot-swap transition
-   counted off the probe stream, the controller accounting
-   cross-checked, and the same cell run under the static policy to
-   assert the headline dominance; any divergence, sanitizer finding or
-   accounting inconsistency exits nonzero. *)
-let drift_smoke seed =
-  let module D = Ksurf.Driftbench in
-  let o, (r, policy_transitions) =
-    sanitized "drift" (fun ~on_engine ->
-        let transitions = ref 0 in
-        let count engine =
-          on_engine engine;
-          Ksurf.Engine.add_probe engine (function
-            | Ksurf.Engine.Rank_transition { to_state; _ }
-              when to_state = "audit" || to_state = "enforce" ->
-                incr transitions
-            | _ -> ())
-        in
-        let r =
-          D.run ~on_engine:count
-            (A.Scenarios.drift_cell ~policy:D.Adaptive ~seed)
-        in
-        (r, !transitions))
-  in
-  let s =
-    timed "static cell" (fun () ->
-        D.run (A.Scenarios.drift_cell ~policy:D.Static ~seed))
-  in
-  Format.printf "drift smoke seed=%d: %d ranks, dose %.1f, adaptive@." seed
-    r.D.ranks r.D.dose;
-  Format.printf
-    "  %d calls (%d post-drift), %d denied, fp %.4f, surface reduction \
-     %.3f, %d promotions / %d demotions / %d swaps, reconverge %s@."
-    r.D.calls r.D.calls_post_drift r.D.denied r.D.fp_rate r.D.reduction
-    r.D.promotions r.D.demotions r.D.swaps
-    (match r.D.reconverge_ns with
-    | None -> "n/a"
-    | Some ns -> Printf.sprintf "%.0f ns" ns);
-  (* The controller choreography must be internally consistent, every
-     hot-swap probe-visible, and the headline claim must hold even at
-     smoke scale: adaptive strictly beats static on post-drift false
-     positives while retaining most of its surface reduction. *)
-  let accounting =
-    List.filter_map Fun.id
-      [
-        (if r.D.calls <= 0 then bad "no calls issued" else None);
-        (if r.D.drifts <> 1 then
-           bad "expected exactly 1 workload drift, saw %d" r.D.drifts
-         else None);
-        (if r.D.drift_at_ns = None then
-           bad "drift never fired (sink not called)"
-         else None);
-        (if r.D.fp_rate < 0.0 || r.D.fp_rate > 1.0 then
-           bad "fp rate %.4f outside [0,1]" r.D.fp_rate
-         else None);
-        (if r.D.denied_post_drift > r.D.denied then
-           bad "post-drift denials %d exceed total %d" r.D.denied_post_drift
-             r.D.denied
-         else None);
-        (if r.D.calls_post_drift > r.D.calls then
-           bad "post-drift calls %d exceed total %d" r.D.calls_post_drift
-             r.D.calls
-         else None);
-        (if r.D.swaps <> r.D.ranks + r.D.promotions + r.D.demotions then
-           bad "swap count %d inconsistent: %d ranks + %d promotions + %d \
-                demotions"
-             r.D.swaps r.D.ranks r.D.promotions r.D.demotions
-         else None);
-        (if policy_transitions <> r.D.swaps then
-           bad "probe saw %d policy transitions, env counted %d swaps"
-             policy_transitions r.D.swaps
-         else None);
-        (if r.D.promotions < r.D.ranks then
-           bad "only %d promotions across %d ranks: some rank never left \
-                audit"
-             r.D.promotions r.D.ranks
-         else None);
-        (if r.D.demotions < 1 then
-           bad "dose %.1f drift triggered no demotion" r.D.dose
-         else None);
-        (if s.D.denied = 0 then
-           bad "static policy denied nothing under drift" else None);
-        (if r.D.fp_rate >= s.D.fp_rate then
-           bad "adaptive fp %.4f does not beat static %.4f" r.D.fp_rate
-             s.D.fp_rate
-         else None);
-        (if s.D.reduction > 0.0 && r.D.reduction < 0.4 *. s.D.reduction then
-           bad "adaptive retains only %.0f%% of static's surface reduction"
-             (100.0 *. r.D.reduction /. s.D.reduction)
-         else None);
-      ]
-  in
-  gate_verdict o ~failures:accounting
-    ~clean:
-      "adaptive cell is deterministic, clean, accounting consistent, \
-       dominates static"
-
 (* --- torture ------------------------------------------------------------ *)
 
 let rec rm_rf path =
@@ -877,155 +521,6 @@ let rec rm_rf path =
       Unix.rmdir path
   | _ -> Unix.unlink path
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let fresh_temp_dir prefix =
-  let p = Filename.temp_file prefix "" in
-  Sys.remove p;
-  Ksurf.Fileio.ensure_dir p;
-  p
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* kdur gate for `make check`: the quick grid at 1 and 4 workers with
-   byte-compared exports and zero tolerated violations, then the same
-   durability machinery wired into a live engine workload — scenario
-   cells journalled under an armed fault plan (transients, an ENOSPC
-   window, a scheduled crash) under the sanitizer harness. *)
-let torture_smoke ~seed ~doses ~kinds =
-  let module T = Ksurf.Torture in
-  let root = fresh_temp_dir "ksurf-torture-smoke" in
-  Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
-  let failures = ref [] in
-  let fail fmt =
-    Format.kasprintf (fun m -> failures := !failures @ [ m ]) fmt
-  in
-  (* 1. The quick grid, twice: every cell must hold every invariant
-     at every crash point, and both the cell results and the
-     exported bytes must be independent of the worker count. *)
-  let grid n sub =
-    Ksurf.Pool.with_pool ~jobs:n (fun pool ->
-        timed
-          (Printf.sprintf "torture grid (%d worker%s)" n
-             (if n = 1 then "" else "s"))
-          (fun () ->
-            E.Torture.run ~seed ~scale:E.Quick ?doses:(Some (Option.value ~default:[ 0.0; 1.0 ] doses))
-              ?kinds
-              ~scratch:(Filename.concat root sub)
-              ~pool ()))
-  in
-  let t1 = grid 1 "grid-j1" in
-  let t4 = grid 4 "grid-j4" in
-  Format.printf "%a@." E.Torture.pp t1;
-  List.iter
-    (fun (r : T.result) ->
-      if T.violations r <> 0 then
-        fail "%s dose %.1f: %d consistency violations" r.T.kind r.T.dose
-          (T.violations r);
-      if r.T.live_runs > 0 && r.T.recovery_ok < 1.0 then
-        fail "%s dose %.1f: live recovery %.2f < 1.0" r.T.kind r.T.dose
-          r.T.recovery_ok)
-    t1.E.Torture.cells;
-  if t1.E.Torture.cells <> t4.E.Torture.cells then
-    fail "cell results differ between 1 and 4 workers";
-  let export sub t =
-    String.concat "\x00"
-      (List.map read_file (Ksurf.Export.torture ~dir:(Filename.concat root sub) t))
-  in
-  if export "csv-j1" t1 <> export "csv-j4" t4 then
-    fail "exported CSV bytes differ between 1 and 4 workers";
-  Format.printf
-    "  grid: %d cells, %d crash states enumerated, %d torn files refused@."
-    (List.length t1.E.Torture.cells)
-    (List.fold_left (fun a (r : T.result) -> a + r.T.crash_states) 0
-       t1.E.Torture.cells)
-    (List.fold_left (fun a (r : T.result) -> a + r.T.torn_refused) 0
-       t1.E.Torture.cells);
-  (* 2. Engine integration: three varbench scenario cells, each
-     completion recorded through a Recov_journal whose host I/O runs
-     under an armed fault plan — recover from every injected death,
-     drain every deferred persist, and replay the whole thing under
-     the sanitizer harness. *)
-  let plan =
-    {
-      Ksurf.Durplan.name = "smoke";
-      actions =
-        [
-          Ksurf.Durplan.Transient { rate = 0.4; eintr_share = 0.5 };
-          Ksurf.Durplan.Enospc_window { from_op = 4; until_op = 8 };
-          Ksurf.Durplan.Crash_at { op = 2 };
-        ];
-    }
-  in
-  let cells = [ "varbench:0"; "varbench:1"; "varbench:2" ] in
-  let replay = ref 0 in
-  let litter_swept = ref 0 in
-  let o, (s : Ksurf.Faultio.stats) =
-    sanitized "torture live" (fun ~on_engine ->
-        incr replay;
-        let dir = Filename.concat root (Printf.sprintf "live-%d" !replay) in
-        Ksurf.Fileio.ensure_dir dir;
-        let jpath = Filename.concat dir "cells.journal" in
-        let inj = Ksurf.Faultio.make ~root:dir ~seed plan in
-        let executed = ref [] in
-        let attempts = ref 0 in
-        let completed = ref false in
-        while (not !completed) && !attempts < 50 do
-          incr attempts;
-          match
-            Ksurf.Faultio.with_faults inj (fun () ->
-                litter_swept := !litter_swept + Ksurf.Fileio.sweep_tmp ~dir;
-                let j = Ksurf.Recov_journal.load ~flush_every:1 ~path:jpath () in
-                List.iter
-                  (fun cell ->
-                    if not (Ksurf.Recov_journal.mem j cell) then begin
-                      (* Recorded cells are never re-executed; a cell
-                         whose completion died before persisting is
-                         legitimately recomputed — here memoised so the
-                         engine event stream stays replay-identical. *)
-                      if not (List.mem cell !executed) then begin
-                        A.Scenarios.run A.Scenarios.Varbench ~seed ~on_engine;
-                        executed := cell :: !executed
-                      end;
-                      Ksurf.Recov_journal.record j cell
-                    end)
-                  cells;
-                Ksurf.Recov_journal.flush j;
-                Ksurf.Recov_journal.persist_pending j)
-          with
-          | false -> completed := true
-          | true -> () (* ENOSPC deferral: space clears as ops advance *)
-          | exception Ksurf.Iohook.Crashed _ -> () (* next attempt recovers *)
-        done;
-        if not !completed then fail "replay %d: journal never converged" !replay;
-        if List.length !executed <> List.length cells then
-          fail "replay %d: %d cells executed, expected %d" !replay
-            (List.length !executed) (List.length cells);
-        let j = Ksurf.Recov_journal.load ~path:jpath () in
-        List.iter
-          (fun cell ->
-            if not (Ksurf.Recov_journal.mem j cell) then
-              fail "replay %d: cell %s lost" !replay cell)
-          cells;
-        if Ksurf.Fileio.sweep_tmp ~dir <> 0 then
-          fail "replay %d: temp litter survived recovery" !replay;
-        Ksurf.Faultio.stats inj)
-  in
-  if s.Ksurf.Faultio.crashes < 1 then fail "scheduled crash never fired";
-  if s.Ksurf.Faultio.enospc < 1 then fail "ENOSPC window never hit";
-  if s.Ksurf.Faultio.transients < 1 then fail "no transient faults injected";
-  Format.printf
-    "  live: %d ops, %d transients, %d enospc, %d crashes, %d temp \
-     file(s) swept during recovery@."
-    s.Ksurf.Faultio.ops s.Ksurf.Faultio.transients s.Ksurf.Faultio.enospc
-    s.Ksurf.Faultio.crashes !litter_swept;
-  gate_verdict o ~failures:!failures
-    ~clean:
-      "every crash state recovers, sweeps are worker-count invariant, \
-       faulted journalling is deterministic and clean"
 
 (* --- study registry ------------------------------------------------------ *)
 
@@ -1041,10 +536,9 @@ type ctx = {
 
 (* One study subcommand.  [run] is a term so that a study's own flags
    are parsed into it.  [export] adds --export, [journalled] adds
-   --journal and --resume, [gate] adds a --smoke/--soak mode (its flag
-   and the gate to run at a seed), and [seeded = false] (Table 1, a
-   fixed configuration) drops --seed, --scale and --jobs.  [failed]
-   turns a completed study into exit 1. *)
+   --journal and --resume, and [seeded = false] (Table 1, a fixed
+   configuration) drops --seed, --scale and --jobs.  [failed] turns a
+   completed study into exit 1 with its one-line reason. *)
 type study =
   | Study : {
       name : string;
@@ -1053,15 +547,14 @@ type study =
       pp : Format.formatter -> 'a -> unit;
       export : (dir:string -> 'a -> string list) option;
       journalled : bool;
-      gate : (bool Term.t * (int -> unit) Term.t) option;
       seeded : bool;
-      failed : 'a -> bool;
+      failed : 'a -> string option;
     }
       -> study
 
-let study ?export ?(journalled = false) ?gate ?(seeded = true)
-    ?(failed = fun _ -> false) name ~doc pp run =
-  Study { name; doc; run; pp; export; journalled; gate; seeded; failed }
+let study ?export ?(journalled = false) ?(seeded = true)
+    ?(failed = fun _ -> None) name ~doc pp run =
+  Study { name; doc; run; pp; export; journalled; seeded; failed }
 
 (* The nine paper studies, in the order [all] prints them. *)
 let paper_studies =
@@ -1147,12 +640,6 @@ let tenancy_study =
       ?churns:(some_list churns) ?policies ?journal:c.journal ~pool:c.pool ()
   in
   study "tenancy" ~export:Ksurf.Export.tenancy ~journalled:true
-    ~gate:
-      ( gate_flag "smoke"
-          "Gate mode: double-run a churny adaptive fleet under the \
-           sanitizers and check the SLO accounting; exit nonzero on \
-           divergence, findings or inconsistency.",
-        Term.const tenancy_smoke )
     ~doc:
       "ktenant study: fleet-scale multi-tenant serving under churn and \
        diurnal load — placement policy x tenant count x churn rate, with \
@@ -1181,14 +668,22 @@ let drift_study =
     E.Drift.run ~seed:c.seed ~scale:c.scale ?doses:(some_list doses)
       ?policies ?journal:c.journal ~pool:c.pool ()
   in
-  study "drift" ~export:Ksurf.Export.drift ~journalled:true
-    ~gate:
-      ( gate_flag "smoke"
-          "Gate mode: double-run a small adaptive driftbench cell under the \
-           sanitizers, cross-check the controller accounting against the \
-           probe stream, and assert adaptive dominates static; exit nonzero \
-           on divergence, findings or inconsistency.",
-        Term.const drift_smoke )
+  (* A drifted cell whose run ended before the trigger measured nothing
+     about drift: its fp rate is the whole-run denial rate. *)
+  let failed t =
+    match E.Drift.undrifted t with
+    | [] -> None
+    | cells ->
+        Some
+          (Printf.sprintf "drift never fired in %s: the run ended first"
+             (String.concat ", "
+                (List.map
+                   (fun (c : E.Drift.cell) ->
+                     Printf.sprintf "%s@%.1f" c.Ksurf.Driftbench.policy
+                       c.Ksurf.Driftbench.dose)
+                   cells)))
+  in
+  study "drift" ~export:Ksurf.Export.drift ~journalled:true ~failed
     ~doc:
       "kadapt study: online adaptive specialization under workload drift — \
        policy x dose, tabling false-positive ENOSYS rate vs retained \
@@ -1198,47 +693,37 @@ let drift_study =
 
 let torture_study =
   let doses =
-    Term.(
-      const some_list
-      $ list_arg Arg.float "dose" ~docv:"D,..."
-          ~doc:
-            "Fault doses to sweep; dose scales the io-mixed plan's rates \
-             and ENOSPC window, 0 is the fault-free control (default: \
-             0,1,2,3).")
+    list_arg Arg.float "dose" ~docv:"D,..."
+      ~doc:
+        "Fault doses to sweep; dose scales the io-mixed plan's rates and \
+         ENOSPC window, 0 is the fault-free control (default: 0,1,2,3)."
   in
-  (* Parsed up front: a bad --path is rejected in gate mode too. *)
   let kinds =
-    Term.(
-      const
-        (parse_names ~what:"writer path" ~expected:"journal|checkpoint|export"
-           Ksurf.Torture.kind_of_name)
-      $ list_arg Arg.string "path" ~docv:"P,..."
-          ~doc:
-            "Durable writer paths to torture: $(b,journal), \
-             $(b,checkpoint), $(b,export) (default: all).")
+    list_arg Arg.string "path" ~docv:"P,..."
+      ~doc:
+        "Durable writer paths to torture: $(b,journal), $(b,checkpoint), \
+         $(b,export) (default: all)."
   in
   let run doses kinds c =
+    let kinds =
+      parse_names ~what:"writer path" ~expected:"journal|checkpoint|export"
+        Ksurf.Torture.kind_of_name kinds
+    in
     let scratch =
       E.Torture.default_scratch ^ "." ^ string_of_int (Unix.getpid ())
     in
     Fun.protect
       ~finally:(fun () -> rm_rf scratch)
       (fun () ->
-        E.Torture.run ~seed:c.seed ~scale:c.scale ?doses ?kinds ~scratch
+        E.Torture.run ~seed:c.seed ~scale:c.scale ?doses:(some_list doses)
+          ?kinds ~scratch
           ?journal:c.journal ~pool:c.pool ())
   in
   study "torture" ~export:Ksurf.Export.torture ~journalled:true
-    ~failed:(fun t -> E.Torture.violations t <> 0)
-    ~gate:
-      ( gate_flag "smoke"
-          "Gate mode: run the quick torture grid at 1 and 4 workers \
-           (byte-compared exports, zero tolerated violations), then \
-           journal live scenario cells under an armed fault plan with \
-           lockdep, determinism and invariant checking; exit nonzero on \
-           any violation, divergence or finding.",
-        Term.(
-          const (fun doses kinds seed -> torture_smoke ~seed ~doses ~kinds)
-          $ doses $ kinds) )
+    ~failed:(fun t ->
+      match E.Torture.violations t with
+      | 0 -> None
+      | n -> Some (Printf.sprintf "%d consistency violations" n))
     ~doc:
       "kdur study: host-I/O fault injection and crash-consistency torture \
        — writer path x dose, enumerating every crash state and recovering \
@@ -1258,11 +743,6 @@ let studies =
              E.Dose.run ~seed:c.seed ~scale:c.scale ?journal:c.journal
                ~pool:c.pool ()));
       study "specialize" ~export:Ksurf.Export.specialize ~journalled:true
-        ~gate:
-          ( gate_flag "smoke"
-              "Gate mode: double-run a specialized deployment under the \
-               sanitizers; exit nonzero on denials, divergence or findings.",
-            Term.const specialize_smoke )
         ~doc:
           "kspec study: per-tenant specialized kernels (multikernel) vs \
            shared native vs kvm-64 on the same fs-restricted workload"
@@ -1271,13 +751,6 @@ let studies =
              E.Specialize.run ~seed:c.seed ~scale:c.scale ?journal:c.journal
                ~pool:c.pool ()));
       study "recover" ~export:Ksurf.Export.recover ~journalled:true
-        ~gate:
-          ( gate_flag "soak"
-              "Chaos gate: run every recovery policy under the crashy preset \
-               plus random crashes, then verify a killed run resumes from \
-               its checkpoint bit-identically; exit nonzero on any wedge or \
-               divergence.",
-            Term.const recover_soak )
         ~doc:
           "krecov study: crash rate x recovery policy on the supervised \
            64-node BSP synthesis"
@@ -1313,31 +786,29 @@ let study_cmd (Study s) =
     if s.seeded then (seed_arg, scale_arg, jobs_arg)
     else (Term.const 42, Term.const E.Quick, Term.const (Some 1))
   in
-  let gating, gate =
-    Option.value s.gate ~default:(Term.const false, Term.const ignore)
-  in
-  let go seed scale export_dir journal_path resume jobs gating gate run () =
-    if gating then gate seed
-    else begin
-      let journal = journal_of journal_path resume in
-      let t =
-        with_pool jobs (fun pool ->
-            timed s.name (fun () ->
-                run { seed; scale; corpus = None; journal; pool }))
-      in
-      Format.printf "%a@." s.pp t;
-      (match (s.export, export_dir) with
-      | Some export, Some dir ->
-          List.iter (fun p -> Format.printf "wrote %s@." p) (export ~dir t)
-      | _ -> ());
-      finish_journal journal;
-      if s.failed t then exit 1
-    end
+  let go seed scale export_dir journal_path resume jobs run () =
+    let journal = journal_of journal_path resume in
+    let t =
+      with_pool jobs (fun pool ->
+          timed s.name (fun () ->
+              run { seed; scale; corpus = None; journal; pool }))
+    in
+    Format.printf "%a@." s.pp t;
+    (match (s.export, export_dir) with
+    | Some export, Some dir ->
+        List.iter (fun p -> Format.printf "wrote %s@." p) (export ~dir t)
+    | _ -> ());
+    finish_journal journal;
+    Option.iter
+      (fun why ->
+        Format.eprintf "ksurf: %s: %s@." s.name why;
+        exit 1)
+      (s.failed t)
   in
   Cmd.v (Cmd.info s.name ~doc:s.doc)
     Term.(
-      const go $ seed $ scale $ export $ journal $ resume $ jobs $ gating
-      $ gate $ s.run $ logs_term)
+      const go $ seed $ scale $ export $ journal $ resume $ jobs $ s.run
+      $ logs_term)
 
 let all_cmd =
   let print (Study s) =

@@ -128,16 +128,19 @@ let check ?(checks = all_checks) workload =
     result = !result;
   }
 
-let pp_replay ppf (d : Determinism.result) =
-  Format.fprintf ppf "replay: %d vs %d events, hash %08x vs %08x — %s"
-    d.events_first d.events_second d.hash_first d.hash_second
-    (if Determinism.deterministic d then "identical" else "DIVERGENT")
+(* Accounting findings of every run join the sanitizer's: a check that
+   fails on both runs is reported once. *)
+let scenario ?checks sc ~seed =
+  let accounting = ref [] in
+  let o =
+    check ?checks (fun ~on_engine ->
+        accounting := !accounting @ Scenarios.run sc ~seed ~on_engine)
+  in
+  let accounting = List.sort_uniq compare !accounting in
+  { o with findings = Finding.sort (o.findings @ accounting) }
 
-let pp_outcome ~scenario ~seed ppf o =
-  Format.fprintf ppf
-    "analyze %s seed=%d checks=%s: %d finding(s), %d events, %d run(s)"
-    (Scenarios.to_string scenario)
-    seed
+let pp_outcome ~label ppf o =
+  Format.fprintf ppf "%s checks=%s: %d finding(s), %d events, %d run(s)" label
     (String.concat "," (List.map check_name o.checks))
     (List.length o.findings) o.events o.runs;
   List.iter (fun f -> Format.fprintf ppf "@.  %a" Finding.pp f) o.findings;

@@ -1,5 +1,5 @@
-(** The one sanitizer harness.  [analyze] and every [--smoke] gate run
-    their workload through {!check}.
+(** The one sanitizer harness.  [analyze], [inject] and the tier-1
+    scenario tests run their workload through {!check}.
 
     The protocol is two runs of the same workload.  The first run
     carries lockdep and invariants, with one analyzer state per engine
@@ -40,11 +40,13 @@ val check :
     [on_engine] on every engine it creates, before anything is spawned
     on it, and must be deterministic for a fixed seed. *)
 
-val pp_replay : Format.formatter -> Determinism.result -> unit
-(** ["replay: N vs M events, hash H1 vs H2 — identical"] (or
-    [DIVERGENT]). *)
+val scenario :
+  ?checks:check list -> Scenarios.t -> seed:int -> unit outcome
+(** {!check} over one {!Scenarios.run}, with the accounting findings of
+    every run added to the outcome's findings (a failure seen on both
+    runs counts once).  This is what [analyze] and the stock-scenario
+    test gate on. *)
 
-val pp_outcome :
-  scenario:Scenarios.t -> seed:int -> Format.formatter -> 'a outcome -> unit
-(** Summary line followed by each finding (or an explicit "all checks
-    clean"). *)
+val pp_outcome : label:string -> Format.formatter -> 'a outcome -> unit
+(** ["<label> checks=...: N finding(s), E events, R run(s)"] followed
+    by each finding (or an explicit "all checks clean"). *)

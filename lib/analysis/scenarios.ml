@@ -1,10 +1,12 @@
 (* Stock scenarios for the sanitizer suite: small, fast configurations
-   of the repo's three workload families, plus a deliberately broken
+   of the repo's workload families, plus a deliberately broken
    [Inversion] scenario that self-tests the lockdep analyzer (and gives
    [ksurf_cli analyze] something to exit nonzero on).
 
    Every scenario calls [on_engine] on each engine it creates *before*
-   running it, so callers can attach probes to the full event stream. *)
+   running it, so callers can attach probes to the full event stream,
+   and returns its accounting findings: checks over its own result
+   that no probe can see. *)
 
 module Engine = Ksurf_sim.Engine
 module Lock = Ksurf_sim.Lock
@@ -28,6 +30,7 @@ type t =
   | Parallel_sweep
   | Tenancy
   | Adaptive_drift
+  | Journalled_faults
 
 let all =
   [
@@ -42,6 +45,7 @@ let all =
     Parallel_sweep;
     Tenancy;
     Adaptive_drift;
+    Journalled_faults;
   ]
 
 let to_string = function
@@ -56,6 +60,7 @@ let to_string = function
   | Parallel_sweep -> "parallel-sweep"
   | Tenancy -> "tenancy"
   | Adaptive_drift -> "adaptive-drift"
+  | Journalled_faults -> "journalled-faults"
 
 let of_string s = List.find_opt (fun t -> to_string t = s) all
 
@@ -75,7 +80,130 @@ let stock =
     Parallel_sweep;
     Tenancy;
     Adaptive_drift;
+    Journalled_faults;
   ]
+
+(* --- accounting --------------------------------------------------------- *)
+
+(* Each failed check is one [accounting] finding, coded by its
+   scenario. *)
+let failures scenario checks =
+  List.filter_map
+    (fun (failed, message) ->
+      if failed then
+        Some
+          (Finding.make ~severity:Finding.Error ~check:"accounting"
+             ~code:(to_string scenario) ~message ())
+      else None)
+    checks
+
+let specialized_accounting ~denials (r : Harness.result) =
+  failures Specialized_varbench
+    [
+      ( denials > 0,
+        Printf.sprintf
+          "%d policy denials (%d dropped by the harness): the allowlist must \
+           cover its own profile"
+          denials r.Harness.denied_calls );
+    ]
+
+(* SLO accounting must be internally consistent whatever the latencies
+   came out to. *)
+let tenancy_accounting (r : Ksurf_tenant.Fleet.result) =
+  let open Ksurf_tenant.Fleet in
+  failures Tenancy
+    [
+      (r.completed <= 0, "no requests completed");
+      ( r.attainment < 0.0 || r.attainment > 1.0,
+        Printf.sprintf "attainment %.3f outside [0,1]" r.attainment );
+      ( r.slo_met > r.measured,
+        Printf.sprintf "slo_met %d > measured %d" r.slo_met r.measured );
+      ( r.measured > r.tenants + r.arrivals,
+        Printf.sprintf "measured %d exceeds tenants ever admitted" r.measured );
+      ( r.cgroup_destroys > r.cgroup_creates,
+        Printf.sprintf "cgroup destroys %d > creates %d" r.cgroup_destroys
+          r.cgroup_creates );
+      ( r.replica_imbalance <> 0,
+        Printf.sprintf
+          "replica imbalance %d: live replicas diverged from autoscaler \
+           targets"
+          r.replica_imbalance );
+      ( r.departures > r.arrivals + r.tenants,
+        Printf.sprintf "departures %d exceed population" r.departures );
+    ]
+
+(* The controller choreography must be internally consistent, every
+   hot-swap probe-visible, and the headline claim must hold even at
+   scenario scale: adaptive strictly beats static on post-drift false
+   positives while retaining most of its surface reduction. *)
+let drift_accounting ~(adaptive : Ksurf_adapt.Driftbench.result)
+    ~(static : Ksurf_adapt.Driftbench.result) ~transitions =
+  let open Ksurf_adapt.Driftbench in
+  let r = adaptive and s = static in
+  failures Adaptive_drift
+    [
+      (r.calls <= 0, "no calls issued");
+      ( r.drifts <> 1,
+        Printf.sprintf "expected exactly 1 workload drift, saw %d" r.drifts );
+      (r.drift_at_ns = None, "drift never fired (sink not called)");
+      ( r.fp_rate < 0.0 || r.fp_rate > 1.0,
+        Printf.sprintf "fp rate %.4f outside [0,1]" r.fp_rate );
+      ( r.denied_post_drift > r.denied,
+        Printf.sprintf "post-drift denials %d exceed total %d"
+          r.denied_post_drift r.denied );
+      ( r.calls_post_drift > r.calls,
+        Printf.sprintf "post-drift calls %d exceed total %d" r.calls_post_drift
+          r.calls );
+      ( r.swaps <> r.ranks + r.promotions + r.demotions,
+        Printf.sprintf
+          "swap count %d inconsistent: %d ranks + %d promotions + %d \
+           demotions"
+          r.swaps r.ranks r.promotions r.demotions );
+      ( transitions <> r.swaps,
+        Printf.sprintf "probe saw %d policy transitions, env counted %d swaps"
+          transitions r.swaps );
+      ( r.promotions < r.ranks,
+        Printf.sprintf
+          "only %d promotions across %d ranks: some rank never left audit"
+          r.promotions r.ranks );
+      ( r.demotions < 1,
+        Printf.sprintf "dose %.1f drift triggered no demotion" r.dose );
+      (s.denied = 0, "static policy denied nothing under drift");
+      ( r.fp_rate >= s.fp_rate,
+        Printf.sprintf "adaptive fp %.4f does not beat static %.4f" r.fp_rate
+          s.fp_rate );
+      ( s.reduction > 0.0 && r.reduction < 0.4 *. s.reduction,
+        Printf.sprintf
+          "adaptive retains only %.0f%% of static's surface reduction"
+          (100.0 *. r.reduction /. s.reduction) );
+    ]
+
+type journal_replay = {
+  cells : int;
+  executed : int;
+  converged : bool;
+  lost : string list;
+  litter : int;
+  io : Ksurf_dur.Faultio.stats;
+}
+
+(* Every cell runs once and lands in the journal, recovery leaves no
+   temp file behind, and the plan's three mechanisms all fired. *)
+let journalled_accounting (r : journal_replay) =
+  let io = r.io in
+  failures Journalled_faults
+    [
+      (not r.converged, "journal never converged");
+      ( r.executed <> r.cells,
+        Printf.sprintf "%d cells executed, expected %d" r.executed r.cells );
+      (r.lost <> [], "cells lost: " ^ String.concat ", " r.lost);
+      (r.litter <> 0, "temp litter survived recovery");
+      (io.Ksurf_dur.Faultio.crashes < 1, "scheduled crash never fired");
+      (io.Ksurf_dur.Faultio.enospc < 1, "ENOSPC window never hit");
+      (io.Ksurf_dur.Faultio.transients < 1, "no transient faults injected");
+    ]
+
+(* --- workloads ---------------------------------------------------------- *)
 
 let small_corpus ~seed =
   (Generator.run
@@ -214,7 +342,14 @@ let run_specialized_varbench ~seed ~on_engine =
       (Partition.equal_split ~units:2 ~total_cores:8 ~total_mem_mb:8192)
   in
   Specializer.install_all env spec;
-  ignore (Harness.run ~env ~corpus ~params:varbench_params ())
+  let result = Harness.run ~env ~corpus ~params:varbench_params () in
+  let denials =
+    List.fold_left
+      (fun acc rank -> acc + Specializer.denials env ~rank)
+      0
+      (List.init (Env.rank_count env) Fun.id)
+  in
+  specialized_accounting ~denials result
 
 (* Recovered variant: the BSP synthesis under elastic supervision with
    the crashy plan plus random crashes, Readmit policy.  Every
@@ -298,7 +433,7 @@ let run_parallel_sweep ~seed ~on_engine =
 let run_tenancy ~seed ~on_engine =
   let module Fleet = Ksurf_tenant.Fleet in
   let module Policy = Ksurf_tenant.Policy in
-  ignore
+  tenancy_accounting
     (Fleet.run ~on_engine
        {
          Fleet.default_config with
@@ -313,13 +448,15 @@ let run_tenancy ~seed ~on_engine =
        })
 
 (* Adaptive-drift variant: a small kadapt driftbench cell — per-rank
-   controllers audit, promote to Enforce, absorb a mid-run workload
-   drift (demote, re-learn, re-promote), all policy hot-swaps flowing
-   through [Env.swap_policy]'s probe-visible transitions.  The
-   invariant analyzer's policy-protocol checks then assert the
-   controller choreography itself: legal audit/enforce edges only, no
-   discontinuous policy states, each swap ordinal used once.  The same
-   cell is the [drift --smoke] gate's. *)
+   controllers audit, promote to Enforce, absorb a workload drift
+   (demote, re-learn, re-promote), all policy hot-swaps flowing through
+   [Env.swap_policy]'s probe-visible transitions.  The invariant
+   analyzer's policy-protocol checks then assert the controller
+   choreography itself: legal audit/enforce edges only, no
+   discontinuous policy states, each swap ordinal used once.  The
+   drift fires at a fixed virtual time, and at some seeds the whole
+   cell is over in about a millisecond, so the trigger sits at 1 ms:
+   later triggers silently never fire at seed 7. *)
 let drift_cell ~policy ~seed =
   let module Driftbench = Ksurf_adapt.Driftbench in
   {
@@ -329,25 +466,117 @@ let drift_cell ~policy ~seed =
     epochs = 24;
     programs_per_epoch = 12;
     corpus_programs = 16;
-    drift_at_ns = 8_000_000.0;
+    drift_at_ns = 1_000_000.0;
     seed;
   }
 
+(* The accounting counts every audit/enforce hot-swap off the probe
+   stream, and runs the same cell under the static policy, unobserved,
+   as the baseline adaptive must beat. *)
 let run_adaptive_drift ~seed ~on_engine =
-  ignore
-    (Ksurf_adapt.Driftbench.run ~on_engine
-       (drift_cell ~policy:Ksurf_adapt.Driftbench.Adaptive ~seed))
+  let module Driftbench = Ksurf_adapt.Driftbench in
+  let transitions = ref 0 in
+  let count engine =
+    on_engine engine;
+    Engine.add_probe engine (function
+      | Engine.Rank_transition { to_state = "audit" | "enforce"; _ } ->
+          incr transitions
+      | _ -> ())
+  in
+  let adaptive =
+    Driftbench.run ~on_engine:count
+      (drift_cell ~policy:Driftbench.Adaptive ~seed)
+  in
+  let static = Driftbench.run (drift_cell ~policy:Driftbench.Static ~seed) in
+  drift_accounting ~adaptive ~static ~transitions:!transitions
+
+(* Journalled-faults variant: the kdur durability machinery wired into
+   a live engine workload.  Three varbench cells each record their
+   completion in a Recov_journal whose host I/O runs under an armed
+   fault plan (transients, an ENOSPC window, a scheduled crash);
+   attempts repeat until the journal converges, recovering from every
+   injected death and draining every deferred persist.  A cell whose
+   completion died before persisting is legitimately recomputed, so
+   executions are memoised to keep the engine event stream
+   replay-identical. *)
+let journalled_plan =
+  {
+    Ksurf_dur.Durplan.name = "journalled";
+    actions =
+      [
+        Ksurf_dur.Durplan.Transient { rate = 0.4; eintr_share = 0.5 };
+        Ksurf_dur.Durplan.Enospc_window { from_op = 4; until_op = 8 };
+        Ksurf_dur.Durplan.Crash_at { op = 2 };
+      ];
+  }
+
+let run_journalled_faults ~seed ~on_engine =
+  let module Journal = Ksurf_recov.Journal in
+  let module Faultio = Ksurf_dur.Faultio in
+  let module Fileio = Ksurf_util.Fileio in
+  let dir = Filename.temp_dir "ksurf-journalled" "" in
+  let cleanup () =
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  in
+  Fun.protect ~finally:cleanup @@ fun () ->
+  let path = Filename.concat dir "cells.journal" in
+  let cells = [ "varbench:0"; "varbench:1"; "varbench:2" ] in
+  let inj = Faultio.make ~root:dir ~seed journalled_plan in
+  let executed = ref [] in
+  let attempt () =
+    ignore (Fileio.sweep_tmp ~dir);
+    let j = Journal.load ~flush_every:1 ~path () in
+    List.iter
+      (fun cell ->
+        if not (Journal.mem j cell) then begin
+          if not (List.mem cell !executed) then begin
+            run_varbench ~seed ~on_engine;
+            executed := cell :: !executed
+          end;
+          Journal.record j cell
+        end)
+      cells;
+    Journal.flush j;
+    not (Journal.persist_pending j)
+  in
+  (* An ENOSPC deferral clears as ops advance; a crash is recovered by
+     the next attempt. *)
+  let rec converge attempts =
+    attempts > 0
+    &&
+    match Faultio.with_faults inj attempt with
+    | true -> true
+    | false -> converge (attempts - 1)
+    | exception Ksurf_util.Iohook.Crashed _ -> converge (attempts - 1)
+  in
+  let converged = converge 50 in
+  let reloaded = Journal.load ~path () in
+  journalled_accounting
+    {
+      cells = List.length cells;
+      executed = List.length !executed;
+      converged;
+      lost = List.filter (fun c -> not (Journal.mem reloaded c)) cells;
+      litter = Fileio.sweep_tmp ~dir;
+      io = Faultio.stats inj;
+    }
 
 let run t ~seed ~on_engine =
+  let clean f =
+    f ~seed ~on_engine;
+    []
+  in
   match t with
-  | Varbench -> run_varbench ~seed ~on_engine
-  | Tailbench -> run_tailbench ~seed ~on_engine
-  | Bsp -> run_bsp ~seed ~on_engine
-  | Inversion -> run_inversion ~seed ~on_engine
-  | Faulted_varbench -> run_faulted_varbench ~seed ~on_engine
-  | Faulted_tailbench -> run_faulted_tailbench ~seed ~on_engine
+  | Varbench -> clean run_varbench
+  | Tailbench -> clean run_tailbench
+  | Bsp -> clean run_bsp
+  | Inversion -> clean run_inversion
+  | Faulted_varbench -> clean run_faulted_varbench
+  | Faulted_tailbench -> clean run_faulted_tailbench
   | Specialized_varbench -> run_specialized_varbench ~seed ~on_engine
-  | Recovered_bsp -> run_recovered_bsp ~seed ~on_engine
-  | Parallel_sweep -> run_parallel_sweep ~seed ~on_engine
+  | Recovered_bsp -> clean run_recovered_bsp
+  | Parallel_sweep -> clean run_parallel_sweep
   | Tenancy -> run_tenancy ~seed ~on_engine
   | Adaptive_drift -> run_adaptive_drift ~seed ~on_engine
+  | Journalled_faults -> run_journalled_faults ~seed ~on_engine

@@ -1,32 +1,30 @@
 (** Stock scenarios for the sanitizer suite: small, fast configurations
-    of the repo's three workload families, plus a deliberately broken
-    [Inversion] scenario (an AB/BA lock-order inversion at disjoint
-    virtual times) that self-tests the lockdep analyzer, plus faulted
-    variants that rerun varbench/tailbench under an armed kfault
-    "crashy" plan — injections must stay deterministic and
-    lockdep-clean — plus a [Specialized_varbench] variant running an
-    fs-restricted corpus under a kspec-pruned kernel with the Enforce
-    allowlist installed (daemon gating and the per-call policy check
-    under the sanitizers), plus a [Recovered_bsp] variant running the
-    supervised BSP synthesis under the crashy plan with the Readmit
-    policy — the invariant analyzer's rank-transition checks assert the
-    failover choreography (legal detector edges only, each
-    Suspect -> Dead -> rejoin at most once per incident) — plus a
-    [Parallel_sweep] variant fanning independent varbench cells across
-    a {!Ksurf_par.Pool} with every completed cell funnelled through one
-    mutex-guarded {!Ksurf_recov.Journal} (the parallel phase runs
-    unobserved because probes are not thread-safe; the journal is
-    verified on reload and one cell re-runs sequentially under
-    [on_engine] for the sanitizers) — plus a [Tenancy] variant running
-    a small churny adaptive {!Ksurf_tenant.Fleet}: lifecycle storms
-    through the shared cgroup accounting locks, epoch-driven
-    autoscaling and adaptive migration, all under the sanitizers —
-    plus an [Adaptive_drift] variant running a small
-    {!Ksurf_adapt.Driftbench} cell: per-rank controllers audit,
-    promote, absorb a mid-run workload drift and re-specialize, with
-    every policy hot-swap probe-visible so the invariant analyzer can
-    assert the controller choreography (legal audit/enforce edges
-    only, each swap ordinal used once). *)
+    of the repo's workload families, each run under {!Sanitizer}.
+
+    - [Varbench], [Tailbench], [Bsp]: the three paper workloads.
+    - [Inversion]: an AB/BA lock-order inversion at disjoint virtual
+      times, the negative control that self-tests lockdep.
+    - [Faulted_varbench], [Faulted_tailbench]: the same workloads under
+      an armed kfault "crashy" plan; injections must stay deterministic
+      and lockdep-clean.
+    - [Specialized_varbench]: an fs-restricted corpus on kspec-pruned
+      multikernel units with the Enforce allowlist installed.
+    - [Recovered_bsp]: the supervised BSP synthesis failing over under
+      the crashy plan; the rank-transition invariants assert the
+      failover choreography.
+    - [Parallel_sweep]: varbench cells fanned across a
+      {!Ksurf_par.Pool} into one journal (the parallel phase runs
+      unobserved, since probes are not thread-safe; one cell re-runs
+      under [on_engine]).
+    - [Tenancy]: a small churny adaptive {!Ksurf_tenant.Fleet}.
+    - [Adaptive_drift]: a small {!Ksurf_adapt.Driftbench} cell whose
+      every policy hot-swap is probe-visible.
+    - [Journalled_faults]: varbench cells journalled under an armed
+      {!Ksurf_dur.Durplan} (transients, an ENOSPC window, a crash).
+
+    Besides the probe-level checks, a scenario returns its
+    {e accounting} findings: checks over its own result, each written
+    below as a pure function of that result. *)
 
 type t =
   | Varbench
@@ -40,6 +38,7 @@ type t =
   | Parallel_sweep
   | Tenancy
   | Adaptive_drift
+  | Journalled_faults
 
 val all : t list
 
@@ -55,10 +54,50 @@ val drift_cell :
   seed:int ->
   Ksurf_adapt.Driftbench.config
 (** The [Adaptive_drift] cell (dose 2.0, 24 epochs, 12 programs per
-    epoch, 16 corpus programs, drift at 8e6 ns) under [policy]; the
-    [drift --smoke] gate runs it too. *)
+    epoch, 16 corpus programs, drift at 1e6 ns) under [policy]. *)
 
-val run : t -> seed:int -> on_engine:(Ksurf_sim.Engine.t -> unit) -> unit
-(** Execute one scenario run.  [on_engine] is called on every engine
-    the scenario creates, before anything is spawned on it — attach
-    probes there.  Deterministic for a given seed. *)
+val run :
+  t -> seed:int -> on_engine:(Ksurf_sim.Engine.t -> unit) -> Finding.t list
+(** Execute one scenario run and return its accounting findings (check
+    [accounting], code the scenario name; [[]] when consistent).
+    [on_engine] is called on every engine the scenario creates, before
+    anything is spawned on it — attach probes there.  Deterministic for
+    a given seed. *)
+
+(** {1 Accounting checks} *)
+
+val specialized_accounting :
+  denials:int -> Ksurf_varbench.Harness.result -> Finding.t list
+(** [Specialized_varbench]: zero policy denials, since the allowlist
+    is compiled from the very corpus it replays. *)
+
+val tenancy_accounting : Ksurf_tenant.Fleet.result -> Finding.t list
+(** [Tenancy]: requests completed, attainment in [0,1], [slo_met <=
+    measured <= tenants + arrivals], cgroup destroys [<=] creates, zero
+    replica imbalance, departures within the population. *)
+
+val drift_accounting :
+  adaptive:Ksurf_adapt.Driftbench.result ->
+  static:Ksurf_adapt.Driftbench.result ->
+  transitions:int ->
+  Finding.t list
+(** [Adaptive_drift]: exactly one drift that fired, consistent call,
+    denial and swap counts, [transitions] (audit/enforce hot-swaps seen
+    on the probe stream) equal to the swaps, every rank promoted, at
+    least one demotion, and the adaptive cell strictly beating the
+    [static] one on false positives while keeping 40% of its surface
+    reduction. *)
+
+type journal_replay = {
+  cells : int;  (** cells the workload journals *)
+  executed : int;  (** distinct cells actually run *)
+  converged : bool;  (** the journal reached a fully persisted state *)
+  lost : string list;  (** cells missing from the reloaded journal *)
+  litter : int;  (** temp files left after recovery *)
+  io : Ksurf_dur.Faultio.stats;
+}
+
+val journalled_accounting : journal_replay -> Finding.t list
+(** [Journalled_faults]: converged, every cell run exactly once and
+    none lost, no temp litter, and the plan's crash, ENOSPC window and
+    transients all fired. *)

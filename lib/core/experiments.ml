@@ -1393,6 +1393,11 @@ module Drift = struct
         c.Driftbench.policy = policy && c.Driftbench.dose = dose)
       t.cells
 
+  let undrifted t =
+    List.filter
+      (fun (c : cell) -> c.Driftbench.dose > 0.0 && c.Driftbench.drifts = 0)
+      t.cells
+
   let pp ppf t =
     Format.fprintf ppf
       "Drift study: false-positive ENOSYS vs retained surface area vs \

@@ -432,6 +432,12 @@ module Drift : sig
 
   val cell : t -> policy:string -> dose:float -> cell option
 
+  val undrifted : t -> cell list
+  (** Cells with a dose above 0 whose drift never fired: the run ended
+      before [drift_at_ns], so their fp rate is the whole-run denial
+      rate and says nothing about drift.  [ksurf_cli drift] fails on
+      any. *)
+
   val pp : Format.formatter -> t -> unit
 end
 

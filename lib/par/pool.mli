@@ -40,10 +40,10 @@ val tune_minor_heap : unit -> unit
     same GC regime as a sweep. *)
 
 val resolve_jobs : ?cli:int -> unit -> int
-(** The worker-count precedence rule shared by [ksurf_cli] and
-    [bench/main.exe]: an explicit [--jobs] value ([cli], clamped to at
-    least 1) always wins over [KSURF_JOBS], which wins over the
-    machine-derived default ({!default_jobs}). *)
+(** The worker-count precedence rule behind [ksurf_cli --jobs]: an
+    explicit value ([cli], clamped to at least 1) always wins over
+    [KSURF_JOBS], which wins over the machine-derived default
+    ({!default_jobs}). *)
 
 val create : ?jobs:int -> unit -> t
 (** A pool running at most [jobs] (default {!default_jobs}) cells

@@ -315,9 +315,10 @@ let test_driftbench_determinism () =
   let r1 = D.run (tiny_cell D.Adaptive) in
   let r2 = D.run (tiny_cell D.Adaptive) in
   Alcotest.(check bool) "same config, bit-identical result" true (r1 = r2);
-  (* The accounting identity the smoke gate also enforces: every policy
-     transition is a swap, and the adaptive cell's swaps decompose into
-     the initial audit installs plus the controller's moves. *)
+  (* The accounting identity the adaptive-drift scenario also
+     enforces: every policy transition is a swap, and the adaptive
+     cell's swaps decompose into the initial audit installs plus the
+     controller's moves. *)
   Alcotest.(check int) "swaps = ranks + promotions + demotions"
     (r1.D.ranks + r1.D.promotions + r1.D.demotions)
     r1.D.swaps;

@@ -58,8 +58,9 @@ let test_invariants_stuck_suspension () =
 let test_invariants_clean_on_real_run () =
   (* A full simulated engine run satisfies every invariant. *)
   let state = Invariants.create () in
-  Scenarios.run Scenarios.Inversion ~seed:3 ~on_engine:(fun engine ->
-      Engine.add_probe engine (Invariants.on_event state));
+  ignore
+    (Scenarios.run Scenarios.Inversion ~seed:3 ~on_engine:(fun engine ->
+         Engine.add_probe engine (Invariants.on_event state)));
   Alcotest.(check bool) "events flowed" true (Invariants.events state > 0);
   Alcotest.(check (list string)) "clean" []
     (codes (Invariants.finish ~drained:true state))
@@ -121,12 +122,13 @@ let test_checks_of_string () =
   | _ -> Alcotest.fail "unknown check should be reported by name"
 
 let test_stock_scenarios_clean () =
-  (* Acceptance: every stock scenario, all three checks, two seeds. *)
+  (* Acceptance: every stock scenario, all three checks and its own
+     accounting, two seeds. *)
   List.iter
     (fun scenario ->
       List.iter
         (fun seed ->
-          let outcome = Sanitizer.check (Scenarios.run scenario ~seed) in
+          let outcome = Sanitizer.scenario scenario ~seed in
           Alcotest.(check (list string))
             (Printf.sprintf "%s seed=%d clean"
                (Scenarios.to_string scenario)
@@ -141,7 +143,7 @@ let test_stock_scenarios_clean () =
     Scenarios.stock
 
 let test_inversion_scenario_flagged () =
-  let outcome = Sanitizer.check (Scenarios.run Scenarios.Inversion ~seed:42) in
+  let outcome = Sanitizer.scenario Scenarios.Inversion ~seed:42 in
   let cycle_codes =
     List.filter (fun c -> c = "lock-order-cycle")
       (codes outcome.Sanitizer.findings)
@@ -149,6 +151,74 @@ let test_inversion_scenario_flagged () =
   Alcotest.(check int) "exactly one cycle" 1 (List.length cycle_codes);
   Alcotest.(check bool) "errors present" true
     (Finding.errors outcome.Sanitizer.findings <> [])
+
+(* --- accounting --------------------------------------------------------- *)
+
+let accounting findings =
+  List.map
+    (fun (f : Finding.t) -> Printf.sprintf "%s/%s" f.Finding.check f.Finding.code)
+    findings
+
+(* Accounting checks are pure functions of a scenario's result: a real
+   result passes and a doctored copy yields an accounting finding. *)
+let test_accounting_flags_doctored_results () =
+  let fleet =
+    Fleet.run
+      {
+        Fleet.default_config with
+        Fleet.tenants = 8;
+        churn_per_day = 16.0;
+        policy = Tenant_policy.Adaptive;
+        host_cores = 16;
+        day_ns = 4e8;
+        mean_rate_per_s = 40.0;
+        epoch_ns = 5e7;
+      }
+  in
+  Alcotest.(check (list string)) "tenancy consistent" []
+    (accounting (Scenarios.tenancy_accounting fleet));
+  Alcotest.(check (list string)) "replica imbalance flagged"
+    [ "accounting/tenancy" ]
+    (accounting
+       (Scenarios.tenancy_accounting
+          { fleet with Fleet.replica_imbalance = 1 }));
+  let cell policy = Driftbench.run (Scenarios.drift_cell ~policy ~seed:42) in
+  let adaptive = cell Driftbench.Adaptive and static = cell Driftbench.Static in
+  let drift ?(transitions = adaptive.Driftbench.swaps) adaptive =
+    accounting (Scenarios.drift_accounting ~adaptive ~static ~transitions)
+  in
+  Alcotest.(check (list string)) "drift consistent" [] (drift adaptive);
+  Alcotest.(check (list string)) "unseen hot-swap flagged"
+    [ "accounting/adaptive-drift" ]
+    (drift ~transitions:(adaptive.Driftbench.swaps - 1) adaptive);
+  Alcotest.(check (list string)) "missing drift flagged"
+    [ "accounting/adaptive-drift"; "accounting/adaptive-drift" ]
+    (drift { adaptive with Driftbench.drifts = 0; drift_at_ns = None });
+  let replay =
+    {
+      Scenarios.cells = 3;
+      executed = 3;
+      converged = true;
+      lost = [];
+      litter = 0;
+      io =
+        {
+          Faultio.ops = 40;
+          transients = 5;
+          enospc = 2;
+          eio = 0;
+          torn = 0;
+          fsync_dropped = 0;
+          crashes = 1;
+        };
+    }
+  in
+  Alcotest.(check (list string)) "journal consistent" []
+    (accounting (Scenarios.journalled_accounting replay));
+  Alcotest.(check (list string)) "lost cell flagged"
+    [ "accounting/journalled-faults" ]
+    (accounting
+       (Scenarios.journalled_accounting { replay with lost = [ "varbench:1" ] }))
 
 (* A workload that raises on its [n]th execution, after a clean engine
    run: the harness must turn that into a crash finding, not raise. *)
@@ -226,6 +296,8 @@ let suite =
     Alcotest.test_case "stock scenarios clean" `Slow test_stock_scenarios_clean;
     Alcotest.test_case "inversion flagged" `Quick
       test_inversion_scenario_flagged;
+    Alcotest.test_case "accounting flags doctored results" `Quick
+      test_accounting_flags_doctored_results;
     Alcotest.test_case "crash becomes a finding" `Quick
       test_crash_becomes_finding;
     Alcotest.test_case "finding sort and csv" `Quick test_finding_sort_and_csv;

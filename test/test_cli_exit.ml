@@ -45,12 +45,28 @@ let test_bad_args_exit_2 () =
       ("run-corpus bad env", "run-corpus missing.corpus --env bogus");
     ]
 
+(* Findings, accounting failures and a drift study whose drift never
+   fired all exit 1. *)
+let test_findings_exit_1 () =
+  List.iter
+    (fun (name, args) -> check_exit name 1 args)
+    [
+      ("analyze inversion", "analyze --scenario inversion");
+      ("drift never fires", "drift --seed 13 --dose 1 --policy static");
+    ]
+
 let test_success_exits_0 () =
-  check_exit "torture control cell" 0 "torture --dose 0 --path export"
+  List.iter
+    (fun (name, args) -> check_exit name 0 args)
+    [
+      ("torture control cell", "torture --dose 0 --path export");
+      ("analyze tenancy", "analyze --scenario tenancy");
+    ]
 
 let suite =
   [
     Alcotest.test_case "io failures exit 3" `Quick test_io_failure_exits_3;
     Alcotest.test_case "bad arguments exit 2" `Quick test_bad_args_exit_2;
+    Alcotest.test_case "findings exit 1" `Quick test_findings_exit_1;
     Alcotest.test_case "success exits 0" `Quick test_success_exits_0;
   ]

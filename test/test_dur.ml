@@ -484,6 +484,49 @@ let test_torture_deterministic () =
   Alcotest.(check bool)
     "same seed, same cell result (scratch-independent)" true (a = b)
 
+let rec tmp_litter dir =
+  Array.fold_left
+    (fun acc e ->
+      let p = Filename.concat dir e in
+      if Sys.is_directory p then acc @ tmp_litter p
+      else if Fileio.is_tmp_name e then acc @ [ p ]
+      else acc)
+    [] (Sys.readdir dir)
+
+(* The quick torture grid at 1 and 4 workers: every cell holds every
+   invariant at every crash point and recovers every live run, the
+   cells and the exported bytes do not depend on the worker count, and
+   no crashed writer's temp file survives in the scratch or export
+   directories. *)
+let test_torture_jobs_invariant () =
+  with_temp_dir "ksurf-dur-jobs" @@ fun root ->
+  let sweep jobs =
+    let dir name = Filename.concat root (Printf.sprintf "%s-j%d" name jobs) in
+    let t =
+      Pool.with_pool ~jobs (fun pool ->
+          Experiments.Torture.run ~seed:42 ~scale:Experiments.Quick
+            ~scratch:(dir "scratch") ~pool ())
+    in
+    let csv =
+      List.map read_file (Export.torture ~dir:(dir "csv") t)
+      |> String.concat "\x00"
+    in
+    (t.Experiments.Torture.cells, csv)
+  in
+  let cells1, csv1 = sweep 1 in
+  let cells4, csv4 = sweep 4 in
+  List.iter
+    (fun (r : Torture.result) ->
+      let name = Printf.sprintf "%s dose %.1f" r.Torture.kind r.Torture.dose in
+      Alcotest.(check int) (name ^ ": zero violations") 0 (Torture.violations r);
+      if r.Torture.live_runs > 0 then
+        Alcotest.(check (float 1e-9))
+          (name ^ ": recovery 1.0") 1.0 r.Torture.recovery_ok)
+    cells1;
+  Alcotest.(check bool) "cells equal across jobs" true (cells1 = cells4);
+  Alcotest.(check string) "csv bytes identical across jobs" csv1 csv4;
+  Alcotest.(check (list string)) "no temp litter" [] (tmp_litter root)
+
 (* --- iohook ------------------------------------------------------------- *)
 
 let test_iohook_nesting () =
@@ -526,5 +569,7 @@ let suite =
     Alcotest.test_case "torture cells" `Slow test_torture_cells;
     Alcotest.test_case "torture deterministic" `Quick
       test_torture_deterministic;
+    Alcotest.test_case "torture jobs 1 vs 4 invariant" `Quick
+      test_torture_jobs_invariant;
     Alcotest.test_case "iohook nesting" `Quick test_iohook_nesting;
   ]

@@ -239,7 +239,7 @@ let test_different_seed_differs () =
 let test_faulted_scenarios_clean () =
   List.iter
     (fun scenario ->
-      let outcome = Sanitizer.check (Scenarios.run scenario ~seed:13) in
+      let outcome = Sanitizer.scenario scenario ~seed:13 in
       Alcotest.(check (list string))
         (Scenarios.to_string scenario ^ " clean")
         []

@@ -34,8 +34,9 @@ let test_inversion_reports_one_cycle () =
      disjoint times so the run completes.  Exactly one cycle naming
      both lock classes. *)
   let state = Lockdep.create () in
-  Scenarios.run Scenarios.Inversion ~seed:42 ~on_engine:(fun engine ->
-      Engine.add_probe engine (Lockdep.on_event state));
+  ignore
+    (Scenarios.run Scenarios.Inversion ~seed:42 ~on_engine:(fun engine ->
+         Engine.add_probe engine (Lockdep.on_event state)));
   let findings = Lockdep.finish state in
   let cycles =
     List.filter (fun f -> f.Finding.code = "lock-order-cycle") findings

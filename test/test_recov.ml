@@ -280,28 +280,34 @@ let test_write_failure_raises_io_error () =
 
 let test_all_policies_complete_crashy () =
   (* Acceptance: the 64-node BSP run under the crashy preset completes
-     under every recovery policy without wedging. *)
-  let config =
-    { Supervisor.default_config with Supervisor.nodes = 64; iterations = 8; seed = 5; crash_rate = 0.01 }
-  in
+     under every recovery policy without wedging, at 1% and at 2%
+     random crashes on top. *)
   List.iter
-    (fun policy ->
-      let o =
-        Supervisor.run ~pool ~plan:crashy_plan
-          ~config:{ config with Supervisor.policy } ()
+    (fun crash_rate ->
+      let config =
+        { Supervisor.default_config with Supervisor.nodes = 64; iterations = 8; seed = 5; crash_rate }
       in
-      Alcotest.(check int)
-        (Supervisor.policy_name policy ^ " completes")
-        8 o.Supervisor.supersteps;
-      Alcotest.(check bool)
-        (Supervisor.policy_name policy ^ " positive runtime")
-        true
-        (o.Supervisor.runtime_ns > 0.0);
-      Alcotest.(check bool)
-        (Supervisor.policy_name policy ^ " saw the planned crash")
-        true
-        (o.Supervisor.crashes >= 1))
-    Supervisor.[ Survivors; Readmit; Speculative ]
+      List.iter
+        (fun policy ->
+          let label =
+            Printf.sprintf "%s at crash rate %.2f"
+              (Supervisor.policy_name policy) crash_rate
+          in
+          let o =
+            Supervisor.run ~pool ~plan:crashy_plan
+              ~config:{ config with Supervisor.policy } ()
+          in
+          Alcotest.(check int) (label ^ " completes") 8 o.Supervisor.supersteps;
+          Alcotest.(check bool)
+            (label ^ " positive runtime")
+            true
+            (o.Supervisor.runtime_ns > 0.0);
+          Alcotest.(check bool)
+            (label ^ " saw the planned crash")
+            true
+            (o.Supervisor.crashes >= 1))
+        Supervisor.[ Survivors; Readmit; Speculative ])
+    [ 0.01; 0.02 ]
 
 let test_survivors_degrades () =
   let o =
@@ -587,7 +593,7 @@ let test_recover_study_and_journal () =
 let test_recovered_bsp_scenario_clean () =
   let module A = Ksurf_analysis in
   let outcome =
-    A.Sanitizer.check (A.Scenarios.run A.Scenarios.Recovered_bsp ~seed:42)
+    A.Sanitizer.scenario A.Scenarios.Recovered_bsp ~seed:42
   in
   Alcotest.(check int) "no findings" 0
     (List.length outcome.A.Sanitizer.findings)
