@@ -282,14 +282,14 @@ let analyze_cmd =
       value & opt string "varbench"
       & info [ "scenario" ] ~docv:"SCENARIO"
           ~doc:
-            "Scenario to instrument: $(b,varbench), $(b,tailbench), $(b,bsp), \
-             $(b,faulted-varbench), $(b,faulted-tailbench) (the same \
-             workloads under an armed kfault plan), \
-             $(b,specialized-varbench) (kspec-pruned multikernel deployment \
-             with the Enforce allowlist installed), $(b,recovered-bsp) (the \
-             supervised BSP synthesis failing over under the crashy plan), \
-             or $(b,inversion) (a deliberate lock-order inversion that \
-             self-tests the analyzer).")
+            (Printf.sprintf
+               "Scenario to instrument, one of %s.  $(b,inversion) is a \
+                deliberate lock-order inversion that self-tests the \
+                analyzer; every other scenario must come out clean."
+               (String.concat ", "
+                  (List.map
+                     (fun sc -> "$(b," ^ A.Scenarios.to_string sc ^ ")")
+                     A.Scenarios.all))))
   in
   let checks =
     Arg.(

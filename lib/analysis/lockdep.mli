@@ -1,13 +1,14 @@
 (** Lockdep-style lock-order validator.
 
-    Locks are grouped into {e classes} — the stripe index and the
-    kernel-instance prefix of an instance name are stripped, so
-    [k0.inode[3]] and [k2.inode[7]] are both class [inode] — and every
-    "A held while acquiring B" observation adds a class edge with the
-    acquisition context that first created it.  A cycle in the class
-    graph is a potential deadlock even if the observed run got lucky
-    with timing.  Instance-level violations (double acquire, release of
-    a lock not held, locks still held at drain) are reported directly.
+    Locks are grouped into {e classes} ({!Ksurf_sim.Lock.class_of_name})
+    — the stripe index and the kernel-instance prefix of an instance
+    name are stripped, so [k0.inode[3]] and [k2.inode[7]] are both class
+    [inode] — and every "A held while acquiring B" observation adds a
+    class edge with the acquisition context that first created it.  A
+    cycle in the class graph is a potential deadlock even if the
+    observed run got lucky with timing.  Instance-level violations
+    (double acquire, release of a lock not held, locks still held at
+    drain) are reported directly.
 
     Feed events with [Engine.add_probe engine (Lockdep.on_event state)];
     acquire events arrive at {e intent} time, so an acquisition that
@@ -16,10 +17,6 @@
 type t
 
 val create : unit -> t
-
-val class_of_instance : string -> string
-(** ["k3.inode[7]"] is class ["inode"]: the kernel-instance prefix
-    ([k<digits>.]) and the stripe suffix ([[<i>]]) are stripped. *)
 
 val on_event : t -> Ksurf_sim.Engine.event_info -> unit
 (** Probe entry point; ignores non-[Sync] events. *)

@@ -34,6 +34,13 @@ type t = {
      a watchdog abort can name the processes that will never run again.
      Maintained unconditionally — one hashtable op per suspend/wake. *)
   parked : (int, int * float) Hashtbl.t;  (* token -> (pid, since) *)
+  (* The delay effect and its handler, built once in [create]: [delay]
+     stashes the duration in the unboxed [delay_ns] cell and performs
+     the shared [delay_eff], so a delay allocates neither an effect
+     payload nor a handler closure per event. *)
+  delay_ns : float array;
+  delay_eff : unit Effect.t;
+  delay_handler : ((unit, unit) Effect.Deep.continuation -> unit) option;
 }
 
 and acquire_site = Lock_site | Resource_site
@@ -85,7 +92,7 @@ exception Process_error of string * exn
 exception Hung of string
 
 type _ Effect.t +=
-  | Delay : t * float -> unit Effect.t
+  | Delay_arg : t -> unit Effect.t
   | Suspend : t * ((unit -> unit) -> unit) -> unit Effect.t
 
 (* The engine whose handler is currently executing a process.  Effects
@@ -99,33 +106,8 @@ let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let get_current () = Domain.DLS.get current_key
 let set_current v = Domain.DLS.set current_key v
 
-let create ?(seed = 0) () =
-  {
-    now = 0.0;
-    seq = 0;
-    heap = Heap.create ();
-    root_rng = Ksurf_util.Prng.create seed;
-    executed = 0;
-    probes = [];
-    cur_pid = 0;
-    next_pid = 0;
-    next_token = 0;
-    acquire_hook = None;
-    parked = Hashtbl.create 16;
-  }
-
-let now t = t.now
-let rng t = t.root_rng
-let pending t = Heap.size t.heap
-let events_executed t = t.executed
-
-let add_probe t probe = t.probes <- t.probes @ [ probe ]
-let clear_probes t = t.probes <- []
 let observed t = t.probes <> []
 let emit t info = List.iter (fun probe -> probe info) t.probes
-let current_pid t = t.cur_pid
-let set_acquire_hook t hook = t.acquire_hook <- hook
-let acquire_hook t = t.acquire_hook
 
 let schedule_job t ~pid ~at job =
   (* Emit before validating so a sanitizer records the violation even
@@ -136,6 +118,41 @@ let schedule_job t ~pid ~at job =
       (Printf.sprintf "Engine.schedule: time %g is before now %g" at t.now);
   t.seq <- t.seq + 1;
   Heap.push t.heap ~time:at ~seq:t.seq ~pid job
+
+let create ?(seed = 0) () =
+  let rec t =
+    {
+      now = 0.0;
+      seq = 0;
+      heap = Heap.create ();
+      root_rng = Ksurf_util.Prng.create seed;
+      executed = 0;
+      probes = [];
+      cur_pid = 0;
+      next_pid = 0;
+      next_token = 0;
+      acquire_hook = None;
+      parked = Hashtbl.create 16;
+      delay_ns = [| 0.0 |];
+      delay_eff = Delay_arg t;
+      delay_handler =
+        Some
+          (fun k ->
+            schedule_job t ~pid:t.cur_pid ~at:(t.now +. t.delay_ns.(0)) (Cont k));
+    }
+  in
+  t
+
+let now t = t.now
+let rng t = t.root_rng
+let pending t = Heap.size t.heap
+let events_executed t = t.executed
+
+let add_probe t probe = t.probes <- t.probes @ [ probe ]
+let clear_probes t = t.probes <- []
+let current_pid t = t.cur_pid
+let set_acquire_hook t hook = t.acquire_hook <- hook
+let acquire_hook t = t.acquire_hook
 
 let schedule_pid t ~pid ~at thunk = schedule_job t ~pid ~at (Thunk thunk)
 
@@ -162,12 +179,10 @@ let handle t f =
         (fun exn ->
           raise (Process_error (Printf.sprintf "at t=%g" t.now, exn)));
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
           match eff with
-          | Delay (eng, d) when eng == t ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  schedule_job t ~pid:t.cur_pid ~at:(t.now +. d) (Cont k))
+          | Delay_arg eng when eng == t -> t.delay_handler
           | Suspend (eng, register) when eng == t ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -207,7 +222,8 @@ let delay d =
   if d = 0.0 then ()
   else begin
     let t = engine_of_process "Engine.delay" in
-    Effect.perform (Delay (t, d))
+    t.delay_ns.(0) <- d;
+    Effect.perform t.delay_eff
   end
 
 let suspend register =

@@ -101,10 +101,11 @@ val current_pid : t -> int
 val set_acquire_hook : t -> (acquire_site -> string -> unit) option -> unit
 (** Install (or clear) the fault-injection acquire hook.  {!Lock} and
     {!Resource} call it in process context immediately after a
-    successful acquisition, passing the site kind and the primitive's
-    name, so the hook may stretch the critical section with {!delay} —
-    lock-holder preemption.  At most one hook; [None] restores the
-    zero-cost default. *)
+    successful acquisition, passing the site kind and, for a lock, its
+    class ({!Lock.class_of_name}, computed once at creation) or, for a
+    resource, its name, so the hook may stretch the critical section
+    with {!delay} — lock-holder preemption.  At most one hook; [None]
+    restores the zero-cost default. *)
 
 val acquire_hook : t -> (acquire_site -> string -> unit) option
 (** The installed hook, consulted by the sync primitives. *)

@@ -11,6 +11,14 @@ type t
 
 val create : engine:Engine.t -> name:string -> t
 
+val class_of_name : string -> string
+(** The lock class of an instance name: ["k3.inode[7]"] is class
+    ["inode"].  The kernel-instance prefix ([k<digits>.]) and the stripe
+    suffix ([[<i>]]) are stripped, so striping and multi-instance
+    deployments do not multiply classes.  {!create} computes it once per
+    lock; it is what the engine acquire hook receives and what lockdep
+    groups locks by. *)
+
 val acquire : t -> unit
 (** Block (in virtual time) until the lock is owned by the caller. *)
 

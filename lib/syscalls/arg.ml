@@ -14,6 +14,9 @@ let objected ?(max_flags = 2) max_obj =
 
 let io = { sizes = [| 64; 4096; 65536; 1 lsl 20 |]; max_obj = 8; max_flags = 4 }
 
+(* ocamlopt evaluates record fields right to left, so this draws flags,
+   then obj, then size.  Every pinned study digest depends on that order:
+   rewriting the fields as sequenced lets in source order changes them. *)
 let generate model rng =
   {
     size = Ksurf_util.Prng.pick rng model.sizes;

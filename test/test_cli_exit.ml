@@ -55,6 +55,33 @@ let test_findings_exit_1 () =
       ("drift never fires", "drift --seed 13 --dose 1 --policy static");
     ]
 
+(* The --scenario documentation is generated from the scenario list, so
+   a new scenario cannot go missing from --help. *)
+let test_analyze_help_names_every_scenario () =
+  let out = Filename.temp_file "ksurf_help" ".txt" in
+  let code =
+    Sys.command
+      ("unset KSURF_JOBS; exec " ^ Filename.quote cli
+     ^ " analyze --help=plain >" ^ Filename.quote out ^ " 2>/dev/null")
+  in
+  let help = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  Alcotest.(check int) "help exits 0" 0 code;
+  let words =
+    String.split_on_char '\n' help
+    |> List.concat_map (String.split_on_char ' ')
+  in
+  List.iter
+    (fun sc ->
+      let name = Ksurf_analysis.Scenarios.to_string sc in
+      let listed =
+        List.exists
+          (fun w -> w = name || w = name ^ "," || w = name ^ ".")
+          words
+      in
+      Alcotest.(check bool) (name ^ " listed") true listed)
+    Ksurf_analysis.Scenarios.all
+
 let test_success_exits_0 () =
   List.iter
     (fun (name, args) -> check_exit name 0 args)
@@ -69,4 +96,6 @@ let suite =
     Alcotest.test_case "bad arguments exit 2" `Quick test_bad_args_exit_2;
     Alcotest.test_case "findings exit 1" `Quick test_findings_exit_1;
     Alcotest.test_case "success exits 0" `Quick test_success_exits_0;
+    Alcotest.test_case "analyze help names every scenario" `Quick
+      test_analyze_help_names_every_scenario;
   ]

@@ -15,7 +15,7 @@ let codes findings = List.map (fun (f : Finding.t) -> f.Finding.code) findings
 
 let test_class_of_instance () =
   let check input expected =
-    Alcotest.(check string) input expected (Lockdep.class_of_instance input)
+    Alcotest.(check string) input expected (Lock.class_of_name input)
   in
   (* Kernel-instance prefix and stripe suffix both stripped. *)
   check "k0.inode[3]" "inode";

@@ -78,6 +78,52 @@ let test_seed_of () =
   ignore (Prng.bits64 rng);
   Alcotest.(check int) "seed preserved" 37 (Prng.seed_of rng)
 
+(* Known answers for the SplitMix64 stream, taken from the reference
+   implementation.  Every pinned study digest rests on these exact bits,
+   so a representation change must reproduce them. *)
+let test_known_answers () =
+  let expect_stream name rng expected =
+    List.iteri
+      (fun i want ->
+        Alcotest.(check int64) (Printf.sprintf "%s draw %d" name i) want
+          (Prng.bits64 rng))
+      expected
+  in
+  expect_stream "create 42" (Prng.create 42)
+    [
+      0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L;
+      0x0c4b6b24ef01890eL; 0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L;
+      0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L;
+    ];
+  expect_stream "split kernel-0" (Prng.split (Prng.create 42) "kernel-0")
+    [
+      0x64b164d732fe00b9L; 0xe38f76a37a4acce7L; 0x6c94d4c0f7204d68L;
+      0x0b07afcbb1e74cd0L; 0x6651027248d50448L; 0x9cbbd98aea221a93L;
+      0xd37e84ac2f090e07L; 0xf7d958a0910939b0L;
+    ];
+  let rng = Prng.create 42 in
+  Alcotest.(check (float 0.0)) "uniform" 0x1.31367e26140c7p-1 (Prng.uniform rng);
+  Alcotest.(check int) "int" 797 (Prng.int rng 1000);
+  Alcotest.(check bool) "chance" true (Prng.chance rng 0.5);
+  Alcotest.(check (pair int64 int)) "save" (0x820057545251ea61L, 42)
+    (Prng.save rng)
+
+let test_save_restore () =
+  let rng = Prng.create 5 in
+  for _ = 1 to 3 do ignore (Prng.bits64 rng) done;
+  let state, seed = Prng.save rng in
+  let resumed = Prng.restore ~state ~seed in
+  Alcotest.(check int) "seed restored" 5 (Prng.seed_of resumed);
+  for i = 1 to 8 do
+    Alcotest.(check int64) (Printf.sprintf "draw %d" i) (Prng.bits64 rng)
+      (Prng.bits64 resumed)
+  done;
+  (* The restored stream owns its state: advancing it leaves the
+     original where it was. *)
+  ignore (Prng.bits64 resumed);
+  Alcotest.(check bool) "independent state" true
+    (Prng.bits64 rng <> Prng.bits64 resumed)
+
 let qcheck_int_in_bounds =
   QCheck.Test.make ~name:"prng int always in [0,n)" ~count:500
     QCheck.(pair small_int (int_bound 1000))
@@ -119,6 +165,8 @@ let suite =
     Alcotest.test_case "chance extremes" `Quick test_chance_extremes;
     Alcotest.test_case "pick empty" `Quick test_pick_empty;
     Alcotest.test_case "seed_of" `Quick test_seed_of;
+    Alcotest.test_case "known answers" `Quick test_known_answers;
+    Alcotest.test_case "save/restore round trip" `Quick test_save_restore;
     QCheck_alcotest.to_alcotest qcheck_int_in_bounds;
     QCheck_alcotest.to_alcotest qcheck_shuffle_is_permutation;
     QCheck_alcotest.to_alcotest qcheck_float_bound;
